@@ -155,7 +155,11 @@ class RTreeBase:
         return result
 
     def _search(self, query: Rect) -> np.ndarray:
-        found: list[np.ndarray] = []
+        # Id blocks in traversal order; ``covered`` marks the blocks of
+        # fully covered subtrees. The partly covered leaves and frontier
+        # partitions are filtered afterwards by one batched box test.
+        blocks: list[np.ndarray] = []
+        covered: list[bool] = []
         stack: list[TreeEntry] = [self.root]
         while stack:
             entry = stack.pop()
@@ -170,22 +174,29 @@ class RTreeBase:
                     self.counters.leaf_accesses += 1
                 else:
                     self.counters.partition_accesses += 1
-                found.append(self._ids_under(entry))
+                blocks.append(self._ids_under(entry))
+                covered.append(True)
                 continue
             if isinstance(entry, InternalNode):
                 self.counters.internal_accesses += 1
                 stack.extend(entry.entries)
-            elif isinstance(entry, LeafNode):
+                continue
+            if isinstance(entry, LeafNode):
                 self.counters.leaf_accesses += 1
-                self.counters.points_examined += entry.size
-                found.append(self.store.ids_in_rect(entry.ids, query))
+                ids = entry.ids
             else:  # FrontierEntry
                 self.counters.partition_accesses += 1
-                self.counters.points_examined += entry.size
-                found.append(entry.partition.ids_in(query))
-        if not found:
+                ids = entry.partition.ids
+            self.counters.points_examined += len(ids)
+            blocks.append(ids)
+            covered.append(False)
+        if not blocks:
             return np.empty(0, dtype=np.int64)
-        return np.concatenate(found)
+        ids = np.concatenate(blocks)
+        keep = np.repeat(covered, [len(block) for block in blocks])
+        test = ~keep
+        keep[test] = query.contains_points(self.store.points_of(ids[test]))
+        return ids[keep]
 
     def probe(self, point: np.ndarray, k: int) -> np.ndarray:
         """The paper's index probe (Algorithm 3, line 2): descend to the

@@ -328,35 +328,52 @@ class QueryEngine:
         """
         if spec.mode != "topk":
             raise QueryError("explain() covers top-k specs only")
+        before = self.index.counters.snapshot()
+        start = time.perf_counter()
+        result, splits = self.traced_topk(spec)
+        elapsed = time.perf_counter() - start
+        after = self.index.counters
+        return QueryExplain(
+            result=result,
+            elapsed_seconds=elapsed,
+            internal_accesses=after.internal_accesses - before.internal_accesses,
+            leaf_accesses=after.leaf_accesses - before.leaf_accesses,
+            partition_accesses=after.partition_accesses - before.partition_accesses,
+            splits_triggered=splits,
+            points_examined=result.points_examined,
+            scan_equivalent_points=self.graph.num_entities,
+            index_stats=self.index.stats(),
+        )
+
+    def traced_topk(self, spec: QuerySpec) -> tuple[TopKResult, int]:
+        """Execute a top-k spec inside an ``engine.topk`` span.
+
+        Returns the result and the index splits it triggered (the change
+        in ``splits_performed``). The span's access deltas and its
+        ``contour_size`` — an ``index.stats()`` tree walk, a scatter
+        round on a sharded engine — are computed only while the span
+        records, so the untraced serving path never walks the tree.
+        """
         with trace.span("engine.topk") as sp:
-            before = self.index.counters.snapshot()
+            recording = sp.is_recording
+            before = self.index.counters.snapshot() if recording else None
             splits_before = self.index.splits_performed
-            start = time.perf_counter()
-            result = self._run_topk_spec(spec)
-            elapsed = time.perf_counter() - start
-            after = self.index.counters
-            stats = self.index.stats()
-            explain = QueryExplain(
-                result=result,
-                elapsed_seconds=elapsed,
-                internal_accesses=after.internal_accesses - before.internal_accesses,
-                leaf_accesses=after.leaf_accesses - before.leaf_accesses,
-                partition_accesses=after.partition_accesses - before.partition_accesses,
-                splits_triggered=self.index.splits_performed - splits_before,
-                points_examined=result.points_examined,
-                scan_equivalent_points=self.graph.num_entities,
-                index_stats=stats,
-            )
-            if sp.is_recording:
+            result = self.execute(spec).topk
+            splits = self.index.splits_performed - splits_before
+            if recording:
+                after = self.index.counters
+                stats = self.index.stats()
                 sp.set_attribute("direction", spec.direction)
-                sp.set_attribute("internal_accesses", explain.internal_accesses)
-                sp.set_attribute("leaf_accesses", explain.leaf_accesses)
-                sp.set_attribute("splits_triggered", explain.splits_triggered)
-                sp.set_attribute("points_examined", explain.points_examined)
+                sp.set_attribute(
+                    "internal_accesses", after.internal_accesses - before.internal_accesses
+                )
+                sp.set_attribute("leaf_accesses", after.leaf_accesses - before.leaf_accesses)
+                sp.set_attribute("splits_triggered", splits)
+                sp.set_attribute("points_examined", result.points_examined)
                 sp.set_attribute(
                     "contour_size", stats.leaf_nodes + stats.frontier_elements
                 )
-        return explain
+        return result, splits
 
     # -- probabilities ------------------------------------------------------
 

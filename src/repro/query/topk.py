@@ -131,35 +131,38 @@ def _find_topk(
     best_ids = np.empty(0, dtype=np.int64)
     best_dists = np.empty(0, dtype=np.float64)
     points_examined = 0
-    examined: set[int] = set()
+    # The excluded ids, then every seed already examined.
+    seen = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
+    permit = (
+        None if allowed is None
+        else np.fromiter(allowed, dtype=np.int64, count=len(allowed))
+    )
 
     def merge(ids: np.ndarray) -> None:
-        """Examine ``ids`` (S1 distances, vectorised) into the top-k."""
+        """Examine ``ids`` by exact S1 distance into the top-k."""
         nonlocal best_ids, best_dists, points_examined
         if len(ids) == 0:
             return
         points_examined += len(ids)
         dists = np.linalg.norm(s1_vectors[ids] - query_point_s1, axis=1)
+        if len(best_dists) == k and not (dists < best_dists[-1]).any():
+            return  # the stable sort below would keep the current top-k
         all_ids = np.concatenate([best_ids, ids])
         all_dists = np.concatenate([best_dists, dists])
         order = np.argsort(all_dists, kind="stable")[:k]
         best_ids = all_ids[order]
         best_dists = all_dists[order]
 
-    def fresh_eligible(ids) -> np.ndarray:
+    def unseen(ids) -> np.ndarray:
+        """``ids`` minus the excluded ids and the seeds already examined."""
         ids = np.asarray(ids, dtype=np.int64)
-        if len(ids) == 0:
-            return ids
-        banned = examined | exclude if exclude else examined
-        if banned:
-            mask = ~np.isin(ids, np.fromiter(banned, dtype=np.int64, count=len(banned)))
-            ids = ids[mask]
-        examined.update(ids.tolist())
-        if allowed is not None and len(ids):
-            permit = np.isin(
-                ids, np.fromiter(allowed, dtype=np.int64, count=len(allowed))
-            )
-            ids = ids[permit]
+        if len(ids) and len(seen):
+            ids = ids[~np.isin(ids, seen)]
+        return ids
+
+    def permitted(ids: np.ndarray) -> np.ndarray:
+        if permit is not None and len(ids):
+            ids = ids[np.isin(ids, permit)]
         return ids
 
     # Line 2: probe for the k seed points near q in S2, widening until
@@ -167,13 +170,15 @@ def _find_topk(
     probe_size = k
     probe_rounds = 0
     while True:
-        seeds = index.probe(q2, probe_size)
+        seeds = unseen(index.probe(q2, probe_size))
+        seen = np.concatenate([seen, seeds])
         probe_rounds += 1
-        merge(fresh_eligible(seeds))
+        merge(permitted(seeds))
         if len(best_ids) >= k or probe_size >= len(s1_vectors):
             break
         probe_size = min(probe_size * 4, len(s1_vectors))
-    sp.set_attribute("seeds", points_examined)
+    seeded = points_examined
+    sp.set_attribute("seeds", seeded)
     sp.set_attribute("probe_rounds", probe_rounds)
 
     if len(best_ids) == 0:
@@ -183,29 +188,27 @@ def _find_topk(
         return float(best_dists[min(k, len(best_dists)) - 1]) * (1.0 + epsilon)
 
     # Lines 3-8: one index search of the initial (largest) region, then
-    # iterative radius refinement over its candidates in S2 order.
+    # iterative radius refinement over its candidates in S2 order, in
+    # chunks tested against the current region's box.
     radius = current_radius()
     region = Rect.ball_box(q2, radius)
-    candidates = fresh_eligible(index.search(region))
-    pruned = 0
+    candidates = permitted(unseen(index.search(region)))
     if len(candidates) > 0:
-        s2_dists = np.linalg.norm(index.store.points_of(candidates) - q2, axis=1)
-        order = np.argsort(s2_dists)
+        points = index.store.points_of(candidates)
+        order = np.argsort(np.linalg.norm(points - q2, axis=1))
         candidates = candidates[order]
-        position = 0
-        while position < len(candidates):
-            chunk = candidates[position : position + _CHUNK]
-            position += len(chunk)
-            in_region = region.contains_points(index.store.points_of(chunk))
-            merge(chunk[in_region])
-            if sp.is_recording:
-                pruned += len(chunk) - int(in_region.sum())
+        points = points[order]
+        for start in range(0, len(candidates), _CHUNK):
+            chunk = points[start : start + _CHUNK]
+            in_region = ((chunk >= region.lower) & (chunk <= region.upper)).all(axis=1)
+            merge(candidates[start : start + _CHUNK][in_region])
             new_radius = current_radius()
             if new_radius < radius:
                 radius = new_radius
                 region = Rect.ball_box(q2, radius)
     sp.set_attribute("candidates", len(candidates))
-    sp.set_attribute("pruned", pruned)
+    # Every candidate outside the region when its chunk came up.
+    sp.set_attribute("pruned", len(candidates) - (points_examined - seeded))
 
     # Line 9: crack the index for the final query region.
     if refine_index:

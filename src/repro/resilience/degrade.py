@@ -1,11 +1,9 @@
 """The degradation ladder: cracking → bulk R-tree → linear scan.
 
-A broken index must never take the service down: Algorithm 3 re-ranks
-every candidate by its exact S1 distance and its initial region always
-covers the true top-k, so *any* correct spatial index — and the
-exhaustive scan — returns the same answer set. That makes index failure
-fully maskable: if the cracking tree raises mid-query or fails its
-structural invariants, the engine transparently drops one rung:
+A broken index must never take the service down: the point store is the
+ground truth and the tree is disposable, so if the cracking tree raises
+mid-query or fails its structural invariants, the engine transparently
+drops one rung:
 
 - **level 0 (native)** — the engine's configured index (cracking by
   default);
@@ -14,6 +12,15 @@ structural invariants, the engine transparently drops one rung:
   state);
 - **level 2 (linear)** — top-k by vectorised exhaustive scan over S1;
   aggregates rebuild a throwaway bulk tree per query.
+
+Answers across rungs: the indexed rungs run Algorithm 3, which re-ranks
+every candidate inside the region it examined by exact S1 distance; its
+answer equals the exhaustive one only when that region covers the true
+top-k, and Theorem 2 bounds the probability that it does not. The
+linear rung *is* the exhaustive answer. So a downgrade keeps answers
+identical whenever the indexed answer was exhaustive (on the test
+datasets, always at ``epsilon=1.0``); otherwise it replaces an entity
+the indexed rung returned in place of a missed true one.
 
 Every downgrade is recorded in :class:`~repro.service.metrics.ServingMetrics`
 (``degradations``) and a rebuild back to the native variant is scheduled:
@@ -137,24 +144,24 @@ class DegradationLadder:
     def run_topk(self, engine, spec: QuerySpec):
         """Guarded top-k for one :class:`~repro.query.spec.QuerySpec`.
 
-        Returns ``(result, explain_or_None)`` — the explain report is
-        unavailable on the linear rung.
+        Returns ``(result, splits_triggered)`` — the index splits the
+        query caused, or None on the linear rung, which uses no index.
         """
         state = self._state(engine)
         self._maybe_rebuild(engine, state)
         if state.level < 2:
             try:
                 chaos.fire("engine.topk")
-                explain = engine.explain(spec)
+                answer = engine.traced_topk(spec)
                 state.queries_since_downgrade += 1
-                return explain.result, explain
+                return answer
             except Exception as exc:
                 self._handle(engine, state, exc)
             if state.level < 2:  # retry once on the bulk rung
                 try:
-                    explain = engine.explain(spec)
+                    answer = engine.traced_topk(spec)
                     state.queries_since_downgrade += 1
-                    return explain.result, explain
+                    return answer
                 except Exception as exc:
                     self._handle(engine, state, exc)
         state.queries_since_downgrade += 1
@@ -252,8 +259,8 @@ class DegradationLadder:
             error=state.last_error,
         )
         if state.level == 1:
-            # A fresh bulk tree over the same store answers identically;
-            # the broken tree is simply dropped.
+            # A fresh bulk tree over the same store takes over; the
+            # broken tree is simply dropped.
             self._install_fresh_bulk(engine)
 
     def _maybe_rebuild(self, engine, state: _EngineState) -> None:
@@ -331,8 +338,13 @@ class DegradationLadder:
         direction: str,
         entity_type: str | None = None,
     ) -> TopKResult:
-        """Exact top-k by vectorised scan over S1 (same answers as the
-        indexed path: Algorithm 3 is exact in S1)."""
+        """Exhaustive top-k by vectorised scan over S1.
+
+        This is the exact answer. The indexed rungs return the same
+        answer only when Algorithm 3's examined region covers the true
+        top-k (Theorem 2 bounds the miss probability), so below
+        ``epsilon=1`` a query can differ between rungs.
+        """
         graph = engine.graph
         if direction == "tail":
             query_point = engine.model.tail_query_point(entity, relation)

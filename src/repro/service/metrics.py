@@ -81,11 +81,13 @@ class ServingMetrics:
         self,
         elapsed_seconds: float,
         cache_hit: bool = False,
-        explain=None,
+        splits_triggered: int | None = None,
+        points_examined: int = 0,
     ) -> None:
-        """Account one completed request; ``explain`` (a
-        :class:`~repro.query.engine.QueryExplain`) feeds the index-side
-        counters on cache misses. The whole update happens under the
+        """Account one completed request. An indexed top-k that missed
+        the cache passes the splits it triggered and the points it
+        examined to feed the index-side counters (``splits_triggered``
+        None leaves them untouched). The whole update happens under the
         registry lock, so no snapshot can observe the request in one
         metric but not another."""
         with self.registry.lock:
@@ -95,9 +97,9 @@ class ServingMetrics:
                 self.registry.counter("cache_hits").inc()
             else:
                 self.registry.counter("cache_misses").inc()
-            if explain is not None:
-                self.registry.counter("splits_triggered").inc(explain.splits_triggered)
-                self.registry.counter("points_examined").inc(explain.points_examined)
+            if splits_triggered is not None:
+                self.registry.counter("splits_triggered").inc(splits_triggered)
+                self.registry.counter("points_examined").inc(points_examined)
 
     def record_queue_wait(self, seconds: float) -> None:
         self.queue_wait.observe(seconds)

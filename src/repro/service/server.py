@@ -242,13 +242,16 @@ class QueryService:
                 chaos.fire("service.query")
                 return self.ladder.run_topk(engine, spec)
 
-            result, explain = self._guarded(run, timeout)
+            result, splits = self._guarded(run, timeout)
             if key is not None:
                 self.cache.put(key, result)
             if self._sharded:
                 self.metrics.increment("shard_fanouts")
             elapsed = time.perf_counter() - start
-            self.metrics.record_request(elapsed, cache_hit=False, explain=explain)
+            self.metrics.record_request(
+                elapsed, cache_hit=False, splits_triggered=splits,
+                points_examined=result.points_examined,
+            )
             return ServiceResult(result, False, elapsed)
 
     def _execute_aggregate(self, spec: QuerySpec, timeout: float | None) -> ServiceResult:

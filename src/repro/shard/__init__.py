@@ -3,10 +3,10 @@
 Partitions the S2 point store into N independent cracking R-trees and
 runs queries scatter-gather across a shard executor: each shard answers
 the query over its id subset, and an exact k-way merge reassembles the
-global answer. Because Algorithm 3 is exact over whatever id subset its
-tree indexes, the merged top-k is element-wise identical to what one
-tree over all points returns — sharding buys parallelism, never
-approximation.
+global answer. The merged top-k equals what one tree over all points
+returns whenever both equal the exhaustive answer (always at
+``epsilon=1.0`` on the test datasets); below that, each shard examines
+its own region and the two can differ (see :mod:`repro.shard.merge`).
 """
 
 from repro.shard.engine import ShardedEngine

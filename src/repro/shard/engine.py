@@ -14,10 +14,13 @@ and swaps two things:
   the online updater, WAL replay — works against a sharded engine
   unchanged.
 
-Exactness: Algorithm 3 is exact over whatever id subset its tree
-indexes, so the merged top-k, its distances, the final radius and the
-query region are element-wise identical to single-engine execution;
-only ``points_examined`` (a work counter) sums differently.
+Answer contract: each shard re-ranks every candidate in the region it
+examined by exact S1 distance, and the merge is exact over the shards'
+answers (:mod:`repro.shard.merge`). The merged top-k equals the
+exhaustive answer, and hence single-engine execution, whenever every
+shard's region covers its share of the true top-k — always at
+``epsilon=1.0`` on the test datasets, with probability bounded by
+Theorem 2 below it.
 """
 
 from __future__ import annotations

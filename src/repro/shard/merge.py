@@ -1,14 +1,21 @@
 """Exact k-way merge of per-shard top-k results.
 
-Each shard's :func:`~repro.query.topk.find_topk` is exact over its id
-subset (Algorithm 3 re-ranks every candidate by true S1 distance inside
-a covering region), so the global top-k is exactly the k smallest of
-the union of per-shard candidates. The merged kth distance equals the
-single-tree kth distance, hence the merged ``final_radius``
-(``kth * (1 + epsilon)``) and ``query_region`` (``ball_box(q2, r)``)
-reproduce the single-engine values bit-for-bit — which keeps geometric
-cache invalidation correct without any shard awareness. Only
-``points_examined`` differs (it sums over shards).
+Each shard runs :func:`~repro.query.topk.find_topk` over its own id
+subset: every candidate inside the region that shard examined is
+re-ranked by its exact S1 distance, but a shard's answer equals the
+exhaustive answer over its subset only when that region covers the
+subset's true top-k. Theorem 2 bounds the probability that it does not
+(:func:`repro.transform.bounds.topk_no_miss_probability`); the miss
+probability vanishes as ``epsilon`` grows, and on the test datasets
+every shard is exhaustive at ``epsilon=1.0``.
+
+The merge itself is exact: the result is the k smallest of the union of
+per-shard answers, with ``final_radius`` (``kth * (1 + epsilon)``) and
+``query_region`` (``ball_box(q2, r)``) rebuilt around the merged kth
+distance. It therefore equals the single-tree answer whenever both
+equal the exhaustive one; below ``epsilon=1`` the two can differ,
+because each shard seeds, shrinks and examines its own region.
+``points_examined`` always sums over shards.
 """
 
 from __future__ import annotations
