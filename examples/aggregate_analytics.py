@@ -13,6 +13,7 @@ Run with:  python examples/aggregate_analytics.py
 from repro.embedding.pretrained import PretrainedEmbedding
 from repro.kg.generators import amazon_like
 from repro.query.engine import EngineConfig, QueryEngine
+from repro.query.spec import QuerySpec
 
 
 def main() -> None:
@@ -37,9 +38,12 @@ def main() -> None:
         ("max", "quality"),
         ("min", "quality"),
     ]:
-        estimate = engine.aggregate_tails(
-            user, likes, kind, attribute, p_tau=0.25, access_fraction=1.0
-        )
+        estimate = engine.execute(
+            QuerySpec(
+                entity=user, relation=likes, mode="aggregate", agg=kind, attribute=attribute,
+                p_tau=0.25, access_fraction=1.0,
+            )
+        ).aggregate
         label = f"{kind.upper()}({attribute})" if attribute else "COUNT(*)"
         print(
             f"  {label:14s} = {estimate.value:9.3f}   "
@@ -48,14 +52,20 @@ def main() -> None:
 
     print("\nAccuracy/time tradeoff for AVG(quality) "
           "(reference: full access):")
-    reference = engine.aggregate_tails(
-        user, likes, "avg", "quality", p_tau=0.25, access_fraction=1.0
-    ).value
+    reference = engine.execute(
+        QuerySpec(
+            entity=user, relation=likes, mode="aggregate", agg="avg", attribute="quality",
+            p_tau=0.25, access_fraction=1.0,
+        )
+    ).aggregate.value
     print(f"  reference value: {reference:.4f}")
     for fraction in (0.05, 0.1, 0.2, 0.4, 0.7, 1.0):
-        estimate = engine.aggregate_tails(
-            user, likes, "avg", "quality", p_tau=0.25, access_fraction=fraction
-        )
+        estimate = engine.execute(
+            QuerySpec(
+                entity=user, relation=likes, mode="aggregate", agg="avg", attribute="quality",
+                p_tau=0.25, access_fraction=fraction,
+            )
+        ).aggregate
         err = abs(estimate.value - reference) / abs(reference)
         print(
             f"  access {fraction:4.0%} ({estimate.accessed:4d} records): "
@@ -63,9 +73,12 @@ def main() -> None:
         )
 
     print("\nTheorem 4 tail bound for a sampled SUM(quality) estimate:")
-    estimate = engine.aggregate_tails(
-        user, likes, "sum", "quality", p_tau=0.25, access_fraction=0.3
-    )
+    estimate = engine.execute(
+        QuerySpec(
+            entity=user, relation=likes, mode="aggregate", agg="sum", attribute="quality",
+            p_tau=0.25, access_fraction=0.3,
+        )
+    ).aggregate
     print(f"  estimate = {estimate.value:.2f} "
           f"({estimate.accessed}/{estimate.ball_size} accessed)")
     for delta in (0.05, 0.1, 0.2, 0.5):

@@ -20,13 +20,15 @@ from repro.dynamic.updater import OnlineUpdater
 from repro.embedding.trainer import train_model
 from repro.kg.generators import movielens_like
 from repro.query.engine import QueryEngine
+from repro.query.spec import QuerySpec
 
 
 def check_consistency(engine, likes, users, k=5) -> float:
     precisions = []
     for user in users:
-        truth = [e for e, _ in engine.exhaustive_topk_tails(user, likes, k)]
-        got = engine.topk_tails(user, likes, k).entities
+        spec = QuerySpec(entity=user, relation=likes, k=k)
+        truth = engine.exhaustive(spec).entities
+        got = engine.execute(spec).topk.entities
         precisions.append(precision_at_k(truth, got))
     return float(np.mean(precisions))
 
@@ -50,7 +52,7 @@ def main() -> None:
 
     # 1. A user rates their own top recommendation (feedback loop).
     user = probe_users[0]
-    top = engine.topk_tails(user, likes, 1).entities[0]
+    top = engine.execute(QuerySpec(entity=user, relation=likes, k=1)).topk.entities[0]
     start = time.perf_counter()
     report = updater.add_edge(user, likes, top)
     elapsed = (time.perf_counter() - start) * 1000
@@ -60,7 +62,7 @@ def main() -> None:
         f"{len(report.entities_reindexed)} entities re-indexed, "
         f"max vector displacement {report.max_displacement:.4f}"
     )
-    assert top not in engine.topk_tails(user, likes, 5).entities
+    assert top not in engine.execute(QuerySpec(entity=user, relation=likes, k=5)).topk.entities
     print("  -> the rated movie no longer appears among predictions (it is in E now)")
 
     # 2. A burst of rating edges.
@@ -87,7 +89,7 @@ def main() -> None:
     newbie = updater.add_entity("user:brand-new", near=user)
     for m in ("movie:1", "movie:2", "movie:3"):
         updater.add_edge(newbie, likes, graph.entities.id_of(m))
-    recs = engine.topk_tails(newbie, likes, 5)
+    recs = engine.execute(QuerySpec(entity=newbie, relation=likes, k=5)).topk
     print(
         "\nnew user's top-5 after three ratings: "
         + ", ".join(graph.entities.name_of(e) for e in recs.entities)

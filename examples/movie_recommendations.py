@@ -17,6 +17,7 @@ from repro.bench.metrics import precision_at_k
 from repro.embedding.pretrained import PretrainedEmbedding
 from repro.kg.generators import movielens_like
 from repro.query.engine import EngineConfig, QueryEngine
+from repro.query.spec import QuerySpec
 from repro.query.vkg import VirtualKnowledgeGraph
 
 
@@ -47,9 +48,10 @@ def main() -> None:
     precisions, timings = [], []
     for user in users:
         start = time.perf_counter()
-        result = engine.topk_tails(user, likes, 5)
+        spec = QuerySpec(entity=user, relation=likes, k=5)
+        result = engine.execute(spec).topk
         timings.append(time.perf_counter() - start)
-        truth = [e for e, _ in engine.exhaustive_topk_tails(user, likes, 5)]
+        truth = engine.exhaustive(spec).entities
         precisions.append(precision_at_k(truth, result.entities))
 
     print(f"\nprecision@5 vs no-index over {len(users)} queries: "

@@ -21,6 +21,7 @@ import numpy as np
 from repro.embedding.pretrained import PretrainedEmbedding
 from repro.kg.generators import freebase_like
 from repro.query.engine import EngineConfig, QueryEngine
+from repro.query.spec import QuerySpec
 
 
 def main() -> None:
@@ -41,7 +42,9 @@ def main() -> None:
 
     print(f"\nTop-8 predicted holders of profession {target_name!r} "
           "(not in the training data):")
-    result = engine.topk_heads(target, profession_rel, 8)
+    result = engine.execute(
+        QuerySpec(entity=target, relation=profession_rel, direction="head", k=8)
+    ).topk
     for entity, prob in zip(result.entities, engine.probabilities(result)):
         affinity = world.affinity(entity, target)
         print(
@@ -74,7 +77,7 @@ def main() -> None:
         )
         start = time.perf_counter()
         for entity, relation in queries:
-            eng.topk_heads(entity, relation, 5)
+            eng.execute(QuerySpec(entity=entity, relation=relation, direction="head", k=5))
         total = time.perf_counter() - start
         stats = eng.index.stats()
         print(

@@ -24,6 +24,7 @@ from repro.bench.metrics import precision_at_k
 from repro.bench.reporting import print_table
 from repro.bench.workloads import make_workload
 from repro.index.knn import knn_topk_s1
+from repro.query.spec import QuerySpec
 
 
 # --------------------------------------------------------------------------
@@ -59,10 +60,7 @@ def run_knn_vs_alg3(
     durations, precisions, examined = [], [], []
     for query, truth in zip(workload, truths):
         start = time.perf_counter()
-        if query.direction == "tail":
-            result = method.engine.topk_tails(query.entity, query.relation, k)
-        else:
-            result = method.engine.topk_heads(query.entity, query.relation, k)
+        result = method.engine.execute(query.spec(k)).topk
         durations.append(time.perf_counter() - start)
         precisions.append(precision_at_k(truth, result.entities))
         examined.append(result.points_examined)
@@ -83,18 +81,7 @@ def run_knn_vs_alg3(
         engine = method.engine
         durations, precisions, examined = [], [], []
         for query, truth in zip(workload, truths):
-            if query.direction == "tail":
-                q1 = engine.model.tail_query_point(query.entity, query.relation)
-                exclude = frozenset(
-                    set(engine.graph.tails(query.entity, query.relation))
-                    | {query.entity}
-                )
-            else:
-                q1 = engine.model.head_query_point(query.entity, query.relation)
-                exclude = frozenset(
-                    set(engine.graph.heads(query.entity, query.relation))
-                    | {query.entity}
-                )
+            q1, exclude, _, _ = engine.resolve(query.spec(k))
             engine.index.counters.reset()
             start = time.perf_counter()
             result = knn_topk_s1(
@@ -233,8 +220,9 @@ def run_dynamic_updates(
     def precision() -> float:
         scores = []
         for user in probes:
-            truth = [e for e, _ in engine.exhaustive_topk_tails(user, likes, 5)]
-            got = engine.topk_tails(user, likes, 5).entities
+            spec = QuerySpec(entity=user, relation=likes, k=5)
+            truth = engine.exhaustive(spec).entities
+            got = engine.execute(spec).topk.entities
             scores.append(precision_at_k(truth, got))
         return float(np.mean(scores))
 

@@ -55,12 +55,12 @@ class NoIndexMethod(TopKMethod):
     def __init__(self, dataset: BenchDataset) -> None:
         self.name = "no-index"
         self._dataset = dataset
-        self._scan = ExhaustiveScan(dataset.model.entity_vectors())
+        self.scan = ExhaustiveScan(dataset.model.entity_vectors())
 
     def query(self, query: Query, k: int) -> list[int]:
         point = self._query_point(self._dataset, query)
         exclude = self._exclusion(self._dataset, query)
-        return [e for e, _ in self._scan.topk(point, k, exclude)]
+        return [e for e, _ in self.scan.topk(point, k, exclude)]
 
 
 class PHTreeMethod(TopKMethod):
@@ -128,11 +128,7 @@ class RTreeMethod(TopKMethod):
         return self._engine.index
 
     def query(self, query: Query, k: int) -> list[int]:
-        if query.direction == "tail":
-            result = self._engine.topk_tails(query.entity, query.relation, k)
-        else:
-            result = self._engine.topk_heads(query.entity, query.relation, k)
-        return list(result.entities)
+        return list(self._engine.execute(query.spec(k)).topk.entities)
 
 
 class H2ALSHMethod(TopKMethod):

@@ -86,10 +86,7 @@ def run_overhead_benchmark(
     def one_round() -> float:
         start = time.perf_counter()
         for query in workload:
-            if query.direction == "tail":
-                engine.topk_tails(query.entity, query.relation, k)
-            else:
-                engine.topk_heads(query.entity, query.relation, k)
+            engine.execute(query.spec(k))
         return time.perf_counter() - start
 
     # Warm-up: crack the index to its steady shape, fill CPU caches.

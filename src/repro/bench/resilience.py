@@ -107,14 +107,7 @@ def run_resilience_benchmark(
     oracle_engine = QueryEngine.from_graph(
         dataset.graph, EngineConfig(index=index), model=dataset.model
     )
-    baseline = [
-        (
-            oracle_engine.topk_tails(q.entity, q.relation, k)
-            if q.direction == "tail"
-            else oracle_engine.topk_heads(q.entity, q.relation, k)
-        )
-        for q in workload
-    ]
+    baseline = [oracle_engine.execute(q.spec(k)).topk for q in workload]
 
     engine = QueryEngine.from_graph(
         dataset.graph, EngineConfig(index=index), model=dataset.model

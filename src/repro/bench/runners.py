@@ -426,23 +426,11 @@ def run_aggregate_tradeoff(
     engine = engine_method.engine
 
     def estimate(query: Query, fraction: float):
-        if query.direction == "tail":
-            return engine.aggregate_tails(
-                query.entity,
-                query.relation,
-                kind,
-                attribute,
-                p_tau=p_tau,
-                access_fraction=fraction,
-            )
-        return engine.aggregate_heads(
-            query.entity,
-            query.relation,
-            kind,
-            attribute,
-            p_tau=p_tau,
+        spec = query.spec(
+            mode="aggregate", agg=kind, attribute=attribute, p_tau=p_tau,
             access_fraction=fraction,
         )
+        return engine.execute(spec).aggregate
 
     # Ground truth: full access of the ball (the paper's reference is
     # "accessing all data points up to a probability threshold").

@@ -66,18 +66,14 @@ def run_scalability(
                 method.query(query, k)
             return (time.perf_counter() - start) / len(warm)
 
-        scan.counters = scan._scan.counters
-        scan._scan.counters.reset()
+        scan.scan.counters.reset()
         scan_seconds = timed(scan)
-        scan_points = scan._scan.counters.points_examined / len(warm)
+        scan_points = scan.scan.counters.points_examined / len(warm)
 
         crack_points_total = 0
         start = time.perf_counter()
         for query in warm:
-            if query.direction == "tail":
-                result = crack.engine.topk_tails(query.entity, query.relation, k)
-            else:
-                result = crack.engine.topk_heads(query.entity, query.relation, k)
+            result = crack.engine.execute(query.spec(k)).topk
             crack_points_total += result.points_examined
         crack_seconds = (time.perf_counter() - start) / len(warm)
         crack_points = crack_points_total / len(warm)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
+from repro.query.spec import DEFAULT_K, QuerySpec
 from repro.rng import ensure_rng
 
 
@@ -25,6 +26,14 @@ class Query:
     entity: int
     relation: int
     direction: str  # 'tail' | 'head'
+
+    def spec(self, k: int = DEFAULT_K, **fields) -> QuerySpec:
+        """This query as a :class:`QuerySpec` (top-k unless ``fields``
+        say otherwise)."""
+        return QuerySpec(
+            entity=self.entity, relation=self.relation, direction=self.direction,
+            k=k, **fields,
+        )
 
 
 def make_workload(

@@ -257,11 +257,14 @@ def _cmd_query(args) -> int:
         title = f"top-{args.k} heads of (?, {args.relation}, {args.tail})"
     print_table(title, ["entity", "probability"], rows)
     if args.explain:
+        from repro.query.spec import QuerySpec
+
         graph = vkg.graph
         entity = graph.entities.id_of(args.head or args.tail)
         relation = graph.relations.id_of(args.relation)
         direction = "tail" if args.head is not None else "head"
-        explain = vkg.engine.explain_topk(entity, relation, args.k, direction)
+        spec = QuerySpec(entity=entity, relation=relation, direction=direction, k=args.k)
+        explain = vkg.engine.explain(spec)
         print(explain.summary())
     return 0
 
@@ -326,6 +329,7 @@ def _cmd_trace(args) -> int:
 
     from repro.obs import trace
     from repro.persistence import load_engine
+    from repro.query.spec import QuerySpec
     from repro.service.server import QueryService
 
     if (args.head is None) == (args.tail is None):
@@ -348,9 +352,14 @@ def _cmd_trace(args) -> int:
             with trace.span("repro.trace") as sp:
                 sp.set_attribute("entity", entity)
                 sp.set_attribute("relation", args.relation)
-                detail = service.topk_detail(
-                    entity, args.relation, k=args.k, direction=direction
+                graph = service.engine.graph
+                spec = QuerySpec(
+                    entity=graph.entities.id_of(entity),
+                    relation=graph.relations.id_of(args.relation),
+                    direction=direction,
+                    k=args.k,
                 )
+                detail = service.execute(spec)
                 probabilities = service.engine.probabilities(detail.result)
                 with trace.span("http.serialize"):
                     body = json.dumps(

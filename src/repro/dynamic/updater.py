@@ -312,7 +312,6 @@ class OnlineUpdater:
             model.num_entities = len(grown)
         self.engine.s1_vectors = model.entity_vectors()
         self.engine._aggregates.s1_vectors = model.entity_vectors()
-        self.engine._scan._vectors = model.entity_vectors()
 
     def _write_entity_vector(self, entity: int, vector: np.ndarray) -> None:
         model = self.engine.model

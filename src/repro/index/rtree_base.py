@@ -33,6 +33,24 @@ from repro.index.store import PointStore
 from repro.obs import trace
 
 
+def index_recipe(index, cls: type | None = None) -> tuple[type, dict]:
+    """The ``(class, kwargs)`` recipe to build a fresh tree like ``index``.
+
+    With ``cls`` given (e.g. a bulk fallback for a cracking tree), only
+    the base tree geometry carries over, not variant-specific knobs.
+    """
+    kwargs = {
+        "leaf_capacity": index.leaf_capacity,
+        "fanout": index.fanout,
+        "beta": index.beta,
+    }
+    if cls is None:
+        cls = type(index)
+        if hasattr(index, "num_choices"):
+            kwargs["num_choices"] = index.num_choices
+    return cls, kwargs
+
+
 class RTreeBase:
     """Common base of the R-tree index variants.
 

@@ -1,18 +1,20 @@
 """The query engine: glue between graph, embedding, transform and index.
 
 A :class:`QueryEngine` owns the trained embedding model, the JL
-transform, the S2 point store and one spatial index variant, and exposes
+transform, the S2 point store and one spatial index variant, and answers
 the two query families of the paper — top-k entity queries and aggregate
-queries — in both directions (given head find tails, given tail find
-heads), plus the exhaustive no-index baseline used as accuracy ground
-truth.
+queries, in both directions (given head find tails, given tail find
+heads) — through one entrypoint, :meth:`QueryEngine.execute`. Each
+:class:`~repro.query.spec.QuerySpec` is resolved in one place,
+:meth:`QueryEngine.resolve`, and :meth:`QueryEngine.exhaustive` answers
+it by the exact scan, the no-index baseline used as ground truth.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +23,8 @@ from repro.embedding.trainer import TrainConfig, train_model
 from repro.errors import QueryError
 from repro.index.bulkload import BulkLoadedRTree
 from repro.index.cracking import CrackingRTree
-from repro.index.linear import ExhaustiveScan
+from repro.index.geometry import Rect
+from repro.index.linear import exact_topk
 from repro.index.store import PointStore
 from repro.index.topk_splits import TopKSplitsRTree
 from repro.kg.graph import KnowledgeGraph
@@ -31,15 +34,6 @@ from repro.query.probability import InverseDistanceProbability
 from repro.query.spec import QueryResult, QuerySpec
 from repro.query.topk import TopKResult, find_topk
 from repro.transform.jl import JLTransform
-
-
-def _warn_deprecated(old: str) -> None:
-    warnings.warn(
-        f"QueryEngine.{old}() is deprecated; build a QuerySpec and call "
-        "execute(spec) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 #: Known index variant names accepted by :class:`EngineConfig.index`.
 INDEX_VARIANTS = ("cracking", "topk2", "topk3", "topk4", "bulk")
@@ -57,6 +51,15 @@ class EngineConfig:
     beta: float = 1.5
     seed: int = 0
     train: TrainConfig = field(default_factory=TrainConfig)
+
+
+class ResolvedQuery(NamedTuple):
+    """A :class:`~repro.query.spec.QuerySpec` resolved against one engine."""
+
+    point: np.ndarray  # the query point in S1 (h + r or t - r)
+    exclude: frozenset[int]  # known E-neighbours plus the anchor itself
+    allowed: frozenset[int] | None  # the entity-type filter, if any
+    epsilon: float  # the spec's override, else the engine's
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,7 +118,6 @@ class QueryEngine:
         self.index = index
         self.epsilon = epsilon
         self.s1_vectors = model.entity_vectors()
-        self._scan = ExhaustiveScan(self.s1_vectors)
         self._aggregates = AggregateProcessor(
             index, self.s1_vectors, transform, graph.attributes, epsilon=epsilon
         )
@@ -169,81 +171,74 @@ class QueryEngine:
             return QueryResult(spec=spec, topk=self._run_topk_spec(spec))
         return QueryResult(spec=spec, aggregate=self._run_aggregate_spec(spec))
 
-    def _topk_request(self, spec: QuerySpec):
-        """Derive (query point, exclude set, allowed set) from a spec."""
+    def resolve(self, spec: QuerySpec) -> ResolvedQuery:
+        """Resolve ``spec`` into its S1 query point, exclude set, allowed
+        set and epsilon — the one place every execution path (indexed,
+        sharded, exhaustive, aggregate, batch ordering) derives them."""
         if spec.direction == "tail":
-            exclude = set(self.graph.tails(spec.entity, spec.relation)) | {spec.entity}
-            query_point = self.model.tail_query_point(spec.entity, spec.relation)
+            known = self.graph.tails(spec.entity, spec.relation)
+            point = self.model.tail_query_point(spec.entity, spec.relation)
         else:
-            exclude = set(self.graph.heads(spec.entity, spec.relation)) | {spec.entity}
-            query_point = self.model.head_query_point(spec.entity, spec.relation)
-        return query_point, frozenset(exclude), self._allowed_of_type(spec.entity_type)
+            known = self.graph.heads(spec.entity, spec.relation)
+            point = self.model.head_query_point(spec.entity, spec.relation)
+        allowed = None
+        if spec.entity_type is not None:
+            allowed = self.graph.entities_of_type(spec.entity_type)
+            if not allowed:
+                raise QueryError(f"no entities tagged with type {spec.entity_type!r}")
+        epsilon = self.epsilon if spec.epsilon is None else spec.epsilon
+        return ResolvedQuery(point, known | {spec.entity}, allowed, epsilon)
 
     def _run_topk_spec(self, spec: QuerySpec) -> TopKResult:
         """Top-k execution hook; :class:`repro.shard.ShardedEngine`
         overrides this with the scatter-gather path."""
-        query_point, exclude, allowed = self._topk_request(spec)
-        epsilon = self.epsilon if spec.epsilon is None else spec.epsilon
+        query = self.resolve(spec)
         return find_topk(
             self.index,
             self.s1_vectors,
             self.transform,
-            query_point,
+            query.point,
             spec.k,
-            exclude=exclude,
-            epsilon=epsilon,
-            allowed=allowed,
+            exclude=query.exclude,
+            epsilon=query.epsilon,
+            allowed=query.allowed,
+        )
+
+    def exhaustive(self, spec: QuerySpec) -> TopKResult:
+        """The exact top-k of a top-k spec by vectorised scan over S1.
+
+        Entities rank by ``(distance, id)``; ``final_radius`` is the
+        k-th distance inflated by the spec's epsilon, as Algorithm 3
+        would set it. This is the ground truth every execution mode is
+        measured against, and the degradation ladder's linear rung.
+        """
+        if spec.mode != "topk":
+            raise QueryError("exhaustive() covers top-k specs only")
+        query = self.resolve(spec)
+        ids, dists = exact_topk(
+            self.s1_vectors, query.point, spec.k, query.exclude, query.allowed
+        )
+        return TopKResult(
+            entities=tuple(ids.tolist()),
+            distances=tuple(dists.tolist()),
+            points_examined=len(self.s1_vectors),
+            final_radius=float(dists[-1]) * (1.0 + query.epsilon)
+            if len(ids)
+            else float("inf"),
+            query_region=None,
         )
 
     def _run_aggregate_spec(self, spec: QuerySpec) -> AggregateEstimate:
-        query_point, exclude, _ = self._topk_request(spec)
+        query = self.resolve(spec)
         return self._aggregates.estimate(
-            query_point,
+            query.point,
             spec.agg,
             attribute=spec.attribute,
             p_tau=spec.p_tau,
             access_fraction=spec.access_fraction,
             max_access=spec.max_access,
-            exclude=exclude,
+            exclude=query.exclude,
         )
-
-    # -- top-k queries (deprecated per-family wrappers) ------------------------
-
-    def topk_tails(
-        self, head: int, relation: int, k: int, entity_type: str | None = None
-    ) -> TopKResult:
-        """Top-k predicted tails of ``(head, relation, ?)`` (E' only).
-
-        .. deprecated:: use :meth:`execute` with a :class:`QuerySpec`.
-        """
-        _warn_deprecated("topk_tails")
-        spec = QuerySpec(
-            entity=head, relation=relation, direction="tail", k=k,
-            entity_type=entity_type,
-        )
-        return self.execute(spec).topk
-
-    def topk_heads(
-        self, tail: int, relation: int, k: int, entity_type: str | None = None
-    ) -> TopKResult:
-        """Top-k predicted heads of ``(?, relation, tail)`` (E' only).
-
-        .. deprecated:: use :meth:`execute` with a :class:`QuerySpec`.
-        """
-        _warn_deprecated("topk_heads")
-        spec = QuerySpec(
-            entity=tail, relation=relation, direction="head", k=k,
-            entity_type=entity_type,
-        )
-        return self.execute(spec).topk
-
-    def _allowed_of_type(self, entity_type: str | None) -> frozenset[int] | None:
-        if entity_type is None:
-            return None
-        allowed = self.graph.entities_of_type(entity_type)
-        if not allowed:
-            raise QueryError(f"no entities tagged with type {entity_type!r}")
-        return allowed
 
     # -- threshold (ball) queries -----------------------------------------------
 
@@ -257,13 +252,9 @@ class QueryEngine:
         model); returns ``(entity, probability)`` sorted by decreasing
         probability.
         """
-        from repro.index.geometry import Rect
-        from repro.query.probability import InverseDistanceProbability
-
         if not 0.0 < p_tau <= 1.0:
             raise QueryError("p_tau must be in (0, 1]")
-        exclude = frozenset(set(self.graph.tails(head, relation)) | {head})
-        q1 = self.model.tail_query_point(head, relation)
+        q1, exclude, _, _ = self.resolve(QuerySpec(entity=head, relation=relation))
         seed = find_topk(
             self.index, self.s1_vectors, self.transform, q1, 1,
             exclude=exclude, epsilon=self.epsilon, refine_index=False,
@@ -290,33 +281,7 @@ class QueryEngine:
         )
         return [(int(e), float(p)) for e, p in pairs]
 
-    def exhaustive_topk_tails(self, head: int, relation: int, k: int):
-        """No-index ground truth for :meth:`topk_tails`."""
-        exclude = set(self.graph.tails(head, relation)) | {head}
-        return self._scan.topk(
-            self.model.tail_query_point(head, relation), k, frozenset(exclude)
-        )
-
-    def exhaustive_topk_heads(self, tail: int, relation: int, k: int):
-        """No-index ground truth for :meth:`topk_heads`."""
-        exclude = set(self.graph.heads(tail, relation)) | {tail}
-        return self._scan.topk(
-            self.model.head_query_point(tail, relation), k, frozenset(exclude)
-        )
-
     # -- EXPLAIN -----------------------------------------------------------------
-
-    def explain_topk(
-        self,
-        entity: int,
-        relation: int,
-        k: int,
-        direction: str = "tail",
-    ) -> "QueryExplain":
-        """Run a top-k query and report what the index did for it."""
-        return self.explain(
-            QuerySpec(entity=entity, relation=relation, direction=direction, k=k)
-        )
 
     def explain(self, spec: QuerySpec) -> "QueryExplain":
         """Run a top-k spec and report what the index did for it.
@@ -386,43 +351,3 @@ class QueryEngine:
             probs = tuple(model.probability(d) for d in result.distances)
             sp.set_attribute("entities", len(probs))
         return probs
-
-    # -- aggregate queries (deprecated per-family wrappers) ----------------------
-
-    def aggregate_tails(
-        self,
-        head: int,
-        relation: int,
-        kind: str,
-        attribute: str | None = None,
-        **kwargs,
-    ) -> AggregateEstimate:
-        """Aggregate over predicted tails of ``(head, relation, ?)``.
-
-        .. deprecated:: use :meth:`execute` with a :class:`QuerySpec`.
-        """
-        _warn_deprecated("aggregate_tails")
-        spec = QuerySpec(
-            entity=head, relation=relation, direction="tail", mode="aggregate",
-            agg=kind, attribute=attribute, **kwargs,
-        )
-        return self.execute(spec).aggregate
-
-    def aggregate_heads(
-        self,
-        tail: int,
-        relation: int,
-        kind: str,
-        attribute: str | None = None,
-        **kwargs,
-    ) -> AggregateEstimate:
-        """Aggregate over predicted heads of ``(?, relation, tail)``.
-
-        .. deprecated:: use :meth:`execute` with a :class:`QuerySpec`.
-        """
-        _warn_deprecated("aggregate_heads")
-        spec = QuerySpec(
-            entity=tail, relation=relation, direction="head", mode="aggregate",
-            agg=kind, attribute=attribute, **kwargs,
-        )
-        return self.execute(spec).aggregate

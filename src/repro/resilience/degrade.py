@@ -10,8 +10,9 @@ drops one rung:
 - **level 1 (bulk)** — a fresh bulk-loaded R-tree built from the point
   store (the store is the ground truth; the tree is disposable workload
   state);
-- **level 2 (linear)** — top-k by vectorised exhaustive scan over S1;
-  aggregates rebuild a throwaway bulk tree per query.
+- **level 2 (linear)** — top-k by the engine's exact scan over S1
+  (:meth:`~repro.query.engine.QueryEngine.exhaustive`); aggregates
+  rebuild a throwaway bulk tree per query.
 
 Answers across rungs: the indexed rungs run Algorithm 3, which re-ranks
 every candidate inside the region it examined by exact S1 distance; its
@@ -43,15 +44,13 @@ from __future__ import annotations
 
 import threading
 
-import numpy as np
-
 from repro.errors import IndexError_, ReproError
 from repro.index.bulkload import BulkLoadedRTree
+from repro.index.rtree_base import index_recipe
 from repro.index.validation import check_invariants
 from repro.obs import trace
 from repro.obs.logging import get_logger
 from repro.query.spec import QuerySpec
-from repro.query.topk import TopKResult
 from repro.resilience import chaos
 
 #: Human-readable rung names, indexed by level.
@@ -102,7 +101,7 @@ class DegradationLadder:
         self.auto_rebuild = auto_rebuild
         self._lock = threading.Lock()
         self._states: dict[int, _EngineState] = {}
-        self._specs: dict[int, tuple[type, dict]] = {}
+        self._recipes: dict[int, tuple[type, dict]] = {}
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -114,9 +113,9 @@ class DegradationLadder:
                 state = self._states[key] = _EngineState()
                 # A sharded engine rebuilds through its own hooks (its
                 # "index" is a router, not a constructible tree).
-                self._specs[key] = (
+                self._recipes[key] = (
                     None if getattr(engine, "is_sharded", False)
-                    else _index_spec(engine.index)
+                    else index_recipe(engine.index)
                 )
             return state
 
@@ -165,30 +164,7 @@ class DegradationLadder:
                 except Exception as exc:
                     self._handle(engine, state, exc)
         state.queries_since_downgrade += 1
-        return (
-            self._linear_topk(
-                engine, spec.entity, spec.relation, spec.k, spec.direction,
-                spec.entity_type,
-            ),
-            None,
-        )
-
-    def explain_topk(self, engine, entity: int, relation: int, k: int, direction: str):
-        """Guarded top-k by coordinates; see :meth:`run_topk`."""
-        return self.run_topk(
-            engine,
-            QuerySpec(entity=entity, relation=relation, direction=direction, k=k),
-        )
-
-    def topk_typed(
-        self, engine, entity: int, relation: int, k: int, direction: str, entity_type: str
-    ) -> TopKResult:
-        """Guarded type-filtered top-k."""
-        spec = QuerySpec(
-            entity=entity, relation=relation, direction=direction, k=k,
-            entity_type=entity_type,
-        )
-        return self.run_topk(engine, spec)[0]
+        return engine.exhaustive(spec), None
 
     def run_aggregate(self, engine, spec: QuerySpec):
         """Guarded aggregate for one spec. The estimators need an index
@@ -209,25 +185,8 @@ class DegradationLadder:
         # Linear rung: aggregates run against a freshly built bulk tree
         # (built from the store, which is the ground truth).
         state.queries_since_downgrade += 1
-        self._install_fresh_bulk(engine)
+        self._install_bulk(engine)
         return engine.execute(spec).aggregate
-
-    def aggregate(
-        self,
-        engine,
-        entity: int,
-        relation: int,
-        kind: str,
-        attribute: str | None,
-        direction: str,
-        **kwargs,
-    ):
-        """Guarded aggregate by coordinates; see :meth:`run_aggregate`."""
-        spec = QuerySpec(
-            entity=entity, relation=relation, direction=direction,
-            mode="aggregate", agg=kind, attribute=attribute, **kwargs,
-        )
-        return self.run_aggregate(engine, spec)
 
     # -- transitions -------------------------------------------------------
 
@@ -261,7 +220,7 @@ class DegradationLadder:
         if state.level == 1:
             # A fresh bulk tree over the same store takes over; the
             # broken tree is simply dropped.
-            self._install_fresh_bulk(engine)
+            self._install_bulk(engine)
 
     def _maybe_rebuild(self, engine, state: _EngineState) -> None:
         if (
@@ -285,7 +244,7 @@ class DegradationLadder:
             variant = engine._variant_cls.__name__
         else:
             with self._lock:
-                cls, kwargs = self._specs[id(engine)]
+                cls, kwargs = self._recipes[id(engine)]
             fresh = cls(engine.index.store, **kwargs)
             check_invariants(fresh)
             self._swap_index(engine, fresh)
@@ -318,75 +277,12 @@ class DegradationLadder:
         engine.index = index
         engine._aggregates.index = index
 
-    def _install_fresh_bulk(self, engine) -> None:
+    def _install_bulk(self, engine) -> None:
         """Drop to bulk trees: per-shard for a sharded engine (one fresh
         bulk tree per shard, swapped on each shard's own lane), one tree
         otherwise."""
         if getattr(engine, "is_sharded", False):
             engine.install_indexes(engine.fresh_indexes(BulkLoadedRTree))
         else:
-            self._swap_index(engine, _fresh_bulk(engine))
-
-    # -- the last rung -----------------------------------------------------
-
-    @staticmethod
-    def _linear_topk(
-        engine,
-        entity: int,
-        relation: int,
-        k: int,
-        direction: str,
-        entity_type: str | None = None,
-    ) -> TopKResult:
-        """Exhaustive top-k by vectorised scan over S1.
-
-        This is the exact answer. The indexed rungs return the same
-        answer only when Algorithm 3's examined region covers the true
-        top-k (Theorem 2 bounds the miss probability), so below
-        ``epsilon=1`` a query can differ between rungs.
-        """
-        graph = engine.graph
-        if direction == "tail":
-            query_point = engine.model.tail_query_point(entity, relation)
-            exclude = set(graph.tails(entity, relation)) | {entity}
-        else:
-            query_point = engine.model.head_query_point(entity, relation)
-            exclude = set(graph.heads(entity, relation)) | {entity}
-        vectors = engine.s1_vectors
-        dists = np.linalg.norm(vectors - np.asarray(query_point, dtype=np.float64), axis=1)
-        banned = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
-        dists = dists.copy()
-        dists[banned] = np.inf
-        if entity_type is not None:
-            allowed = graph.entities_of_type(entity_type)
-            mask = np.ones(len(dists), dtype=bool)
-            mask[np.fromiter(allowed, dtype=np.int64, count=len(allowed))] = False
-            dists[mask] = np.inf
-        order = np.argsort(dists, kind="stable")[:k]
-        order = order[np.isfinite(dists[order])]
-        return TopKResult(
-            entities=tuple(int(e) for e in order),
-            distances=tuple(float(dists[e]) for e in order),
-            points_examined=int(len(vectors)),
-            final_radius=float(dists[order[-1]]) * (1.0 + engine.epsilon)
-            if len(order)
-            else float("inf"),
-            query_region=None,
-        )
-
-
-def _index_spec(index) -> tuple[type, dict]:
-    """Constructor recipe to rebuild a fresh index of the same variant."""
-    kwargs = dict(
-        leaf_capacity=index.leaf_capacity, fanout=index.fanout, beta=index.beta
-    )
-    if hasattr(index, "num_choices"):
-        kwargs["num_choices"] = index.num_choices
-    return type(index), kwargs
-
-
-def _fresh_bulk(engine) -> BulkLoadedRTree:
-    old = engine.index
-    return BulkLoadedRTree(
-        old.store, leaf_capacity=old.leaf_capacity, fanout=old.fanout, beta=old.beta
-    )
+            cls, kwargs = index_recipe(engine.index, BulkLoadedRTree)
+            self._swap_index(engine, cls(engine.index.store, **kwargs))

@@ -6,8 +6,7 @@
 :class:`~repro.service.metrics.ServingMetrics` registry, and serves
 every query through one unified call — ``execute(spec)`` with a
 :class:`~repro.query.spec.QuerySpec` — that is safe to hammer from many
-threads (``topk`` / ``aggregate`` remain as thin conveniences over it).
-:func:`make_server` wraps a service in a ``ThreadingHTTPServer`` JSON
+threads. :func:`make_server` wraps a service in a ``ThreadingHTTPServer`` JSON
 API:
 
 - ``POST /v1/query`` (a JSON ``QuerySpec``; the one modern endpoint for
@@ -44,8 +43,10 @@ open circuit breaker → 503 (with a ``Retry-After`` header).
 
 The fault-tolerance layer is wired here: every query runs through the
 :class:`~repro.resilience.degrade.DegradationLadder` (a broken index
-falls back to a fresh bulk tree, then a linear scan — answers are
-identical, Algorithm 3 is exact in S1), the pool is supervised by a
+falls back to a fresh bulk tree, then the exact linear scan; the
+indexed rungs equal the exhaustive answer only when Algorithm 3's
+examined region covers the true top-k, with Theorem 2 bounding the
+miss probability), the pool is supervised by a
 :class:`~repro.resilience.watchdog.PoolWatchdog`, and a
 :class:`~repro.resilience.breaker.CircuitBreaker` sheds load when the
 backend itself is failing. What trips the breaker is backend trouble
@@ -102,18 +103,16 @@ class ServiceResult:
 
 
 class QueryService:
-    """Concurrent serving façade over one or more :class:`QueryEngine`.
+    """Concurrent serving façade over one :class:`QueryEngine`.
 
-    Pass a single engine to serialize all queries onto one cracking
-    index (the online-index regime), or a list of replicas to shard
-    across them. The service attaches its cache to the *first* engine as
-    ``engine.result_cache`` so :func:`repro.query.batch.run_batch` can
-    route through it.
+    A single-tree engine serializes all queries onto one cracking index
+    (the online-index regime); a sharded engine serves every worker at
+    once.
     """
 
     def __init__(
         self,
-        engine: QueryEngine | list[QueryEngine],
+        engine: QueryEngine,
         workers: int = 4,
         max_queue: int = 128,
         cache_capacity: int = 2048,
@@ -126,8 +125,7 @@ class QueryService:
         trace_threshold: float = 0.05,
         trace_capacity: int = 64,
     ) -> None:
-        engines = engine if isinstance(engine, (list, tuple)) else [engine]
-        self.engine = engines[0]
+        self.engine = engine
         self.default_timeout = default_timeout
         self.cache = ResultCache(capacity=cache_capacity, ttl_seconds=cache_ttl)
         self.metrics = ServingMetrics(
@@ -138,21 +136,14 @@ class QueryService:
         # which serializes per shard internally) goes into the free-list
         # once per worker: every worker can run queries on it at once
         # instead of serializing on a single checkout.
-        self._sharded = getattr(self.engine, "is_sharded", False)
-        if (
-            len(engines) == 1
-            and getattr(self.engine, "concurrency_safe", False)
-        ):
-            pool_engines = [self.engine] * workers
-        else:
-            pool_engines = list(engines)
+        self._sharded = getattr(engine, "is_sharded", False)
+        concurrent = getattr(engine, "concurrency_safe", False)
         self.pool = EnginePool(
-            pool_engines,
+            [engine] * workers if concurrent else [engine],
             workers=workers,
             max_queue=max_queue,
             on_queue_wait=self.metrics.record_queue_wait,
         )
-        self.engine.result_cache = self.cache
         self.ladder = DegradationLadder(metrics=self.metrics)
         self.breaker = breaker or CircuitBreaker(
             on_transition=lambda old, new: self.metrics.increment("breaker_transitions")
@@ -271,62 +262,6 @@ class QueryService:
             elapsed = time.perf_counter() - start
             self.metrics.record_request(elapsed, cache_hit=False)
             return ServiceResult(estimate, False, elapsed)
-
-    def topk(
-        self,
-        entity: int | str,
-        relation: int | str,
-        k: int = DEFAULT_K,
-        direction: str = "tail",
-        timeout: float | None = None,
-        entity_type: str | None = None,
-    ) -> TopKResult:
-        """Serve one top-k query (cache → pool → engine)."""
-        return self.topk_detail(
-            entity, relation, k, direction, timeout=timeout, entity_type=entity_type
-        ).result
-
-    def topk_detail(
-        self,
-        entity: int | str,
-        relation: int | str,
-        k: int = DEFAULT_K,
-        direction: str = "tail",
-        timeout: float | None = None,
-        entity_type: str | None = None,
-    ) -> ServiceResult:
-        """Like :meth:`topk` but also reports cache provenance."""
-        spec = QuerySpec(
-            entity=self._entity_id(entity),
-            relation=self._relation_id(relation),
-            direction=direction,
-            k=k,
-            entity_type=entity_type,
-        )
-        return self.execute(spec, timeout=timeout)
-
-    def aggregate(
-        self,
-        entity: int | str,
-        relation: int | str,
-        kind: str,
-        attribute: str | None = None,
-        direction: str = "tail",
-        timeout: float | None = None,
-        **kwargs,
-    ):
-        """Serve one aggregate query (never cached: the estimate depends
-        on continuous knobs like ``p_tau`` and ``access_fraction``)."""
-        spec = QuerySpec(
-            entity=self._entity_id(entity),
-            relation=self._relation_id(relation),
-            direction=direction,
-            mode="aggregate",
-            agg=kind,
-            attribute=attribute,
-            **kwargs,
-        )
-        return self.execute(spec, timeout=timeout).result
 
     # -- guarded execution -------------------------------------------------
 

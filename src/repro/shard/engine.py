@@ -30,6 +30,7 @@ import threading
 import numpy as np
 
 from repro.errors import ServiceError
+from repro.index.rtree_base import index_recipe
 from repro.index.stats import AccessCounters, IndexStats
 from repro.index.store import PointStore, ShardStoreView
 from repro.index.validation import check_invariants
@@ -43,18 +44,6 @@ from repro.shard.plan import ShardPlan
 
 #: Assignment value of an id that was deleted from its shard tree.
 _UNASSIGNED = -1
-
-
-def _variant_of(index) -> tuple[type, dict]:
-    """The (class, kwargs) recipe to build a fresh tree of this kind."""
-    kwargs = {
-        "leaf_capacity": index.leaf_capacity,
-        "fanout": index.fanout,
-        "beta": index.beta,
-    }
-    if hasattr(index, "num_choices"):
-        kwargs["num_choices"] = index.num_choices
-    return type(index), kwargs
 
 
 class ShardRouter:
@@ -211,7 +200,7 @@ class ShardedEngine(QueryEngine):
         self._shard_engines = list(shard_engines)
         self._plan = plan
         self._store = store
-        self._variant_cls, self._variant_kwargs = _variant_of(shard_engines[0].index)
+        self._variant_cls, self._variant_kwargs = index_recipe(shard_engines[0].index)
         assignment = np.full(store.size, _UNASSIGNED, dtype=np.int64)
         for shard, engine in enumerate(self._shard_engines):
             # A shard's initial id set is exactly what its tree indexes.
@@ -241,7 +230,7 @@ class ShardedEngine(QueryEngine):
         store = engine.index.store
         plan = ShardPlan.build(shards, scheme=scheme, coords=store.coords)
         groups = plan.partition(np.arange(store.size), coords=store.coords)
-        index_cls, index_kwargs = _variant_of(engine.index)
+        index_cls, index_kwargs = index_recipe(engine.index)
         shard_engines = []
         for ids in groups:
             tree = index_cls(ShardStoreView(store), ids=ids, **index_kwargs)
@@ -259,15 +248,11 @@ class ShardedEngine(QueryEngine):
     # -- scatter-gather top-k ----------------------------------------------
 
     def _run_topk_spec(self, spec: QuerySpec) -> TopKResult:
-        epsilon = self.epsilon if spec.epsilon is None else spec.epsilon
-        if spec.direction == "tail":
-            query_point = self.model.tail_query_point(spec.entity, spec.relation)
-        else:
-            query_point = self.model.head_query_point(spec.entity, spec.relation)
-        q2 = self.transform(np.asarray(query_point, dtype=np.float64))
+        query = self.resolve(spec)
+        q2 = self.transform(np.asarray(query.point, dtype=np.float64))
         with trace.span("shard.scatter") as sp:
             parts = self._executor.scatter_specs(spec)
-            merged = merge_topk(parts, spec.k, epsilon, q2)
+            merged = merge_topk(parts, spec.k, query.epsilon, q2)
             if sp.is_recording:
                 sp.set_attribute("shards", len(parts))
                 sp.set_attribute("points_examined", merged.points_examined)
@@ -293,7 +278,6 @@ class ShardedEngine(QueryEngine):
         for engine in getattr(self, "_shard_engines", ()):
             engine.s1_vectors = value
             engine._aggregates.s1_vectors = value
-            engine._scan._vectors = value
 
     @property
     def num_shards(self) -> int:
@@ -365,13 +349,9 @@ class ShardedEngine(QueryEngine):
         the base tree geometry carries over, not variant-specific knobs.
         """
         if index_cls is None:
-            cls, kwargs = self._variant_cls, dict(self._variant_kwargs)
+            cls, kwargs = self._variant_cls, self._variant_kwargs
         else:
-            cls = index_cls
-            kwargs = {
-                key: self._variant_kwargs[key]
-                for key in ("leaf_capacity", "fanout", "beta")
-            }
+            cls, kwargs = index_recipe(self.index, index_cls)
         return [
             cls(ShardStoreView(self._store), ids=self.shard_ids(shard), **kwargs)
             for shard in range(self.num_shards)

@@ -77,3 +77,20 @@ def test_counters(vectors):
 def test_bad_k(vectors):
     with pytest.raises(IndexError_):
         ExhaustiveScan(vectors).topk(np.zeros(10), 0)
+
+
+@pytest.mark.parametrize("vectorized", [False, True])
+def test_ties_at_the_kth_distance_break_by_id(vectorized):
+    """On an integer grid many points tie at the k-th distance; every
+    exact scan must keep the smallest ids, ranking by (distance, id)."""
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        vectors = rng.integers(-2, 3, size=(40, 2)).astype(float)
+        q = rng.integers(-2, 3, size=2).astype(float)
+        k = int(rng.integers(1, 10))
+        exclude = frozenset(rng.choice(40, size=3, replace=False).tolist())
+        dists = np.linalg.norm(vectors - q, axis=1)
+        want = sorted((float(d), i) for i, d in enumerate(dists) if i not in exclude)[:k]
+        got = ExhaustiveScan(vectors, vectorized=vectorized).topk(q, k, exclude)
+        assert [e for e, _ in got] == [i for _, i in want]
+        assert [d for _, d in got] == pytest.approx([d for d, _ in want])

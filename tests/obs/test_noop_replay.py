@@ -15,10 +15,7 @@ from repro.service.server import QueryService
 def _sequential_baseline(engine, workload, k):
     expected = []
     for query in workload:
-        if query.direction == "tail":
-            result = engine.topk_tails(query.entity, query.relation, k)
-        else:
-            result = engine.topk_heads(query.entity, query.relation, k)
+        result = engine.execute(query.spec(k)).topk
         expected.append((query.entity, result.entities, result.distances))
     return expected
 
@@ -59,10 +56,7 @@ def test_instrumented_index_is_deterministic_across_tracing_modes(make_engine, d
             trace.enable()
         try:
             for query in workload:
-                if query.direction == "tail":
-                    result = engine.topk_tails(query.entity, query.relation, 5)
-                else:
-                    result = engine.topk_heads(query.entity, query.relation, 5)
+                result = engine.execute(query.spec(5)).topk
                 results.append(result.entities)
         finally:
             trace.disable()

@@ -19,6 +19,7 @@ from repro.embedding.transe import TransE
 from repro.index.validation import check_invariants
 from repro.kg.generators import movielens_like
 from repro.query.engine import EngineConfig, QueryEngine
+from repro.query.spec import QuerySpec
 
 _NUM_USERS = 10
 _NUM_MOVIES = 20
@@ -99,7 +100,7 @@ def test_random_update_sequences_keep_the_index_sound(ops, variant):
             fresh += 1
         else:  # query — cracks the tree between updates
             user = graph.entities.id_of(f"user:{op[1]}")
-            engine.topk_tails(user, likes, 3)
+            engine.execute(QuerySpec(entity=user, relation=likes, k=3))
         check_invariants(engine.index)
 
     # Everything still answers, and every store row is still indexed.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import QueryError
-
+from repro.query.spec import QuerySpec
 
 
 def test_aggregate_with_attribute_nobody_has(engine, dataset):
@@ -12,7 +12,12 @@ def test_aggregate_with_attribute_nobody_has(engine, dataset):
     graph, world = dataset
     likes = graph.relations.id_of("likes")
     user = world.members("user")[0]
-    estimate = engine.aggregate_tails(user, likes, "sum", "nonexistent", p_tau=0.2)
+    estimate = engine.execute(
+        QuerySpec(
+            entity=user, relation=likes, mode="aggregate", agg="sum", attribute="nonexistent",
+            p_tau=0.2,
+        )
+    ).aggregate
     assert estimate.value == 0.0
     assert estimate.ball_size == 0
     assert estimate.accessed == 0
@@ -22,7 +27,12 @@ def test_empty_estimate_tail_bound_is_exact(engine, dataset):
     graph, world = dataset
     likes = graph.relations.id_of("likes")
     user = world.members("user")[0]
-    estimate = engine.aggregate_tails(user, likes, "sum", "nonexistent", p_tau=0.2)
+    estimate = engine.execute(
+        QuerySpec(
+            entity=user, relation=likes, mode="aggregate", agg="sum", attribute="nonexistent",
+            p_tau=0.2,
+        )
+    ).aggregate
     assert estimate.tail_bound(0.5) == 0.0
 
 
@@ -30,8 +40,12 @@ def test_count_with_tiny_p_tau_includes_more(engine, dataset):
     graph, world = dataset
     likes = graph.relations.id_of("likes")
     user = world.members("user")[1]
-    tight = engine.aggregate_tails(user, likes, "count", p_tau=0.5)
-    loose = engine.aggregate_tails(user, likes, "count", p_tau=0.1)
+    tight = engine.execute(
+        QuerySpec(entity=user, relation=likes, mode="aggregate", agg="count", p_tau=0.5)
+    ).aggregate
+    loose = engine.execute(
+        QuerySpec(entity=user, relation=likes, mode="aggregate", agg="count", p_tau=0.1)
+    ).aggregate
     assert loose.ball_size >= tight.ball_size
 
 
@@ -39,7 +53,11 @@ def test_aggregate_estimate_values_are_floats(engine, dataset):
     graph, world = dataset
     likes = graph.relations.id_of("likes")
     user = world.members("user")[2]
-    estimate = engine.aggregate_tails(user, likes, "sum", "year", p_tau=0.2)
+    estimate = engine.execute(
+        QuerySpec(
+            entity=user, relation=likes, mode="aggregate", agg="sum", attribute="year", p_tau=0.2,
+        )
+    ).aggregate
     assert isinstance(estimate.value, float)
     assert all(isinstance(v, float) for v in estimate.accessed_values)
 
@@ -50,8 +68,16 @@ def test_sum_scales_count_times_avg(engine, dataset):
     graph, world = dataset
     likes = graph.relations.id_of("likes")
     user = world.members("user")[3]
-    s = engine.aggregate_tails(user, likes, "sum", "year", p_tau=0.2)
-    a = engine.aggregate_tails(user, likes, "avg", "year", p_tau=0.2)
+    s = engine.execute(
+        QuerySpec(
+            entity=user, relation=likes, mode="aggregate", agg="sum", attribute="year", p_tau=0.2,
+        )
+    ).aggregate
+    a = engine.execute(
+        QuerySpec(
+            entity=user, relation=likes, mode="aggregate", agg="avg", attribute="year", p_tau=0.2,
+        )
+    ).aggregate
     # SUM / AVG equals the probability mass of the ball.
     assert s.value / a.value == pytest.approx(
         s.value / a.value

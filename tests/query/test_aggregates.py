@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import QueryError
 from repro.query.aggregates import _expected_max
+from repro.query.spec import QuerySpec
 
 
 class TestExpectedMax:
@@ -38,7 +39,9 @@ class TestEstimates:
         graph, world = dataset
         user = world.members("user")[0]
         likes = graph.relations.id_of("likes")
-        estimate = engine.aggregate_tails(user, likes, "count", p_tau=0.2)
+        estimate = engine.execute(
+            QuerySpec(entity=user, relation=likes, mode="aggregate", agg="count", p_tau=0.2)
+        ).aggregate
         assert estimate.kind == "count"
         assert estimate.ball_size > 0
         assert 0 < estimate.value <= estimate.ball_size + 1
@@ -48,7 +51,9 @@ class TestEstimates:
         graph, world = dataset
         user = world.members("user")[1]
         likes = graph.relations.id_of("likes")
-        estimate = engine.aggregate_tails(user, likes, "count", p_tau=0.2)
+        estimate = engine.execute(
+            QuerySpec(entity=user, relation=likes, mode="aggregate", agg="count", p_tau=0.2)
+        ).aggregate
         assert estimate.accessed == estimate.ball_size
 
     def test_sum_requires_attribute(self, engine, dataset):
@@ -56,13 +61,20 @@ class TestEstimates:
         user = world.members("user")[0]
         likes = graph.relations.id_of("likes")
         with pytest.raises(QueryError):
-            engine.aggregate_tails(user, likes, "sum")
+            engine.execute(
+                QuerySpec(entity=user, relation=likes, mode="aggregate", agg="sum")
+            ).aggregate
 
     def test_avg_year_in_plausible_range(self, engine, dataset):
         graph, world = dataset
         user = world.members("user")[2]
         likes = graph.relations.id_of("likes")
-        estimate = engine.aggregate_tails(user, likes, "avg", "year", p_tau=0.1)
+        estimate = engine.execute(
+            QuerySpec(
+                entity=user, relation=likes, mode="aggregate", agg="avg", attribute="year",
+                p_tau=0.1,
+            )
+        ).aggregate
         assert 1930 <= estimate.value <= 2018
 
     def test_sampling_approaches_full_access(self, engine, dataset):
@@ -72,15 +84,24 @@ class TestEstimates:
         likes = graph.relations.id_of("likes")
         errors_small, errors_large = [], []
         for user in world.members("user")[:6]:
-            full = engine.aggregate_tails(
-                user, likes, "avg", "year", p_tau=0.1, access_fraction=1.0
-            )
-            small = engine.aggregate_tails(
-                user, likes, "avg", "year", p_tau=0.1, access_fraction=0.1
-            )
-            large = engine.aggregate_tails(
-                user, likes, "avg", "year", p_tau=0.1, access_fraction=0.7
-            )
+            full = engine.execute(
+                QuerySpec(
+                    entity=user, relation=likes, mode="aggregate", agg="avg", attribute="year",
+                    p_tau=0.1, access_fraction=1.0,
+                )
+            ).aggregate
+            small = engine.execute(
+                QuerySpec(
+                    entity=user, relation=likes, mode="aggregate", agg="avg", attribute="year",
+                    p_tau=0.1, access_fraction=0.1,
+                )
+            ).aggregate
+            large = engine.execute(
+                QuerySpec(
+                    entity=user, relation=likes, mode="aggregate", agg="avg", attribute="year",
+                    p_tau=0.1, access_fraction=0.7,
+                )
+            ).aggregate
             errors_small.append(abs(small.value - full.value))
             errors_large.append(abs(large.value - full.value))
         assert np.mean(errors_large) <= np.mean(errors_small) + 1e-9
@@ -89,9 +110,12 @@ class TestEstimates:
         graph, world = dataset
         user = world.members("user")[3]
         likes = graph.relations.id_of("likes")
-        estimate = engine.aggregate_tails(
-            user, likes, "max", "year", p_tau=0.1, access_fraction=1.0
-        )
+        estimate = engine.execute(
+            QuerySpec(
+                entity=user, relation=likes, mode="aggregate", agg="max", attribute="year",
+                p_tau=0.1, access_fraction=1.0,
+            )
+        ).aggregate
         # With full access and extrapolation, the MAX estimate should be
         # in the attribute's plausible vicinity.
         assert estimate.value >= min(estimate.accessed_values)
@@ -100,26 +124,42 @@ class TestEstimates:
         graph, world = dataset
         user = world.members("user")[4]
         likes = graph.relations.id_of("likes")
-        lo = engine.aggregate_tails(user, likes, "min", "year", p_tau=0.1)
-        hi = engine.aggregate_tails(user, likes, "max", "year", p_tau=0.1)
+        lo = engine.execute(
+            QuerySpec(
+                entity=user, relation=likes, mode="aggregate", agg="min", attribute="year",
+                p_tau=0.1,
+            )
+        ).aggregate
+        hi = engine.execute(
+            QuerySpec(
+                entity=user, relation=likes, mode="aggregate", agg="max", attribute="year",
+                p_tau=0.1,
+            )
+        ).aggregate
         assert lo.value <= hi.value
 
     def test_max_access_caps_accesses(self, engine, dataset):
         graph, world = dataset
         user = world.members("user")[5]
         likes = graph.relations.id_of("likes")
-        estimate = engine.aggregate_tails(
-            user, likes, "avg", "year", p_tau=0.1, max_access=7
-        )
+        estimate = engine.execute(
+            QuerySpec(
+                entity=user, relation=likes, mode="aggregate", agg="avg", attribute="year",
+                p_tau=0.1, max_access=7,
+            )
+        ).aggregate
         assert estimate.accessed <= 7
 
     def test_tail_bound_monotone_in_delta(self, engine, dataset):
         graph, world = dataset
         user = world.members("user")[0]
         likes = graph.relations.id_of("likes")
-        estimate = engine.aggregate_tails(
-            user, likes, "sum", "year", p_tau=0.2, access_fraction=0.5
-        )
+        estimate = engine.execute(
+            QuerySpec(
+                entity=user, relation=likes, mode="aggregate", agg="sum", attribute="year",
+                p_tau=0.2, access_fraction=0.5,
+            )
+        ).aggregate
         assert estimate.tail_bound(0.5) <= estimate.tail_bound(0.1)
 
     def test_unknown_kind_rejected(self, engine, dataset):
@@ -127,16 +167,23 @@ class TestEstimates:
         user = world.members("user")[0]
         likes = graph.relations.id_of("likes")
         with pytest.raises(QueryError):
-            engine.aggregate_tails(user, likes, "median", "year")
+            engine.execute(
+                QuerySpec(
+                    entity=user, relation=likes, mode="aggregate", agg="median", attribute="year",
+                )
+            ).aggregate
 
     def test_bad_access_fraction_rejected(self, engine, dataset):
         graph, world = dataset
         user = world.members("user")[0]
         likes = graph.relations.id_of("likes")
         with pytest.raises(QueryError):
-            engine.aggregate_tails(
-                user, likes, "count", p_tau=0.2, access_fraction=0.0
-            )
+            engine.execute(
+                QuerySpec(
+                    entity=user, relation=likes, mode="aggregate", agg="count", p_tau=0.2,
+                    access_fraction=0.0,
+                )
+            ).aggregate
 
     def test_attribute_filtering_excludes_users(self, engine, dataset):
         """Only movies carry 'year'; the ball may contain users/genres
@@ -144,6 +191,11 @@ class TestEstimates:
         graph, world = dataset
         user = world.members("user")[1]
         likes = graph.relations.id_of("likes")
-        estimate = engine.aggregate_tails(user, likes, "avg", "year", p_tau=0.05)
+        estimate = engine.execute(
+            QuerySpec(
+                entity=user, relation=likes, mode="aggregate", agg="avg", attribute="year",
+                p_tau=0.05,
+            )
+        ).aggregate
         years = {graph.attributes.get("year", m) for m in world.members("movie")}
         assert all(v in years for v in estimate.accessed_values)

@@ -3,8 +3,14 @@
 import pytest
 
 from repro.errors import QueryError, ServiceError
-from repro.query.batch import BatchQuery, run_batch
+from repro.query.batch import run_batch
 from repro.query.spec import QuerySpec
+
+
+def _specs(users, relation, direction="tail", k=5):
+    return [
+        QuerySpec(entity=u, relation=relation, direction=direction, k=k) for u in users
+    ]
 
 
 @pytest.fixture
@@ -14,25 +20,21 @@ def queries(dataset):
     users = world.members("user")[:6]
     movies = world.members("movie")[:2]
     return (
-        [BatchQuery(u, likes, "tail") for u in users]
-        + [BatchQuery(m, likes, "head") for m in movies]
-        + [BatchQuery(users[0], likes, "tail")]  # duplicate
+        _specs(users, likes)
+        + _specs(movies, likes, "head")
+        + _specs(users[:1], likes)  # duplicate
     )
 
 
 def test_batch_results_in_input_order(engine, queries):
-    report = run_batch(engine, queries, k=5)
+    report = run_batch(engine, queries)
     assert len(report.results) == len(queries)
-    for query, result in zip(queries, report.results):
-        if query.direction == "tail":
-            expected = engine.topk_tails(query.entity, query.relation, 5)
-        else:
-            expected = engine.topk_heads(query.entity, query.relation, 5)
-        assert result.entities == expected.entities
+    for spec, result in zip(queries, report.results):
+        assert result.entities == engine.execute(spec).topk.entities
 
 
 def test_batch_dedupes(engine, queries):
-    report = run_batch(engine, queries, k=3)
+    report = run_batch(engine, queries)
     assert report.total_queries == len(queries)
     assert report.unique_executed == len(queries) - 1
     assert report.dedup_ratio < 1.0
@@ -41,7 +43,7 @@ def test_batch_dedupes(engine, queries):
 
 
 def test_batch_empty(engine):
-    report = run_batch(engine, [], k=3)
+    report = run_batch(engine, [])
     assert report.results == []
     assert report.dedup_ratio == 1.0
 
@@ -50,11 +52,11 @@ def test_batch_validates_direction(engine, dataset):
     graph, world = dataset
     likes = graph.relations.id_of("likes")
     with pytest.raises(QueryError):
-        run_batch(engine, [BatchQuery(0, likes, "sideways")], k=3)
+        run_batch(engine, [QuerySpec(entity=0, relation=likes, direction="sideways")])
 
 
 def test_batch_counts_points(engine, queries):
-    report = run_batch(engine, queries, k=3)
+    report = run_batch(engine, queries)
     assert report.points_examined > 0
 
 
@@ -64,13 +66,13 @@ def test_batch_accepts_specs_with_their_own_k(engine, dataset):
     users = world.members("user")[:3]
     items = [
         QuerySpec(entity=users[0], relation=likes, k=7),
-        BatchQuery(users[1], likes, "tail"),
+        QuerySpec(entity=users[1], relation=likes, k=4),
         QuerySpec(entity=users[2], relation=likes, direction="head", k=2),
     ]
-    report = run_batch(engine, items, k=4)
-    assert len(report.results[0].entities) == 7  # spec keeps its own k
-    assert len(report.results[1].entities) == 4  # BatchQuery takes the arg
-    assert len(report.results[2].entities) == 2
+    report = run_batch(engine, items)
+    assert [len(result.entities) for result in report.results] == [7, 4, 2]
+    # Every distinct spec runs once; nothing is answered from a cache.
+    assert report.unique_executed == len(items)
 
 
 def test_batch_rejects_aggregate_specs(engine, dataset):
@@ -81,9 +83,9 @@ def test_batch_rejects_aggregate_specs(engine, dataset):
         agg="count",
     )
     with pytest.raises(ServiceError, match="top-k specs only"):
-        run_batch(engine, [agg], k=3)
+        run_batch(engine, [agg])
 
 
 def test_batch_rejects_foreign_items(engine):
-    with pytest.raises(QueryError, match="BatchQuery or QuerySpec"):
-        run_batch(engine, [("user:0", "likes")], k=3)
+    with pytest.raises(QueryError, match="must be QuerySpec"):
+        run_batch(engine, [("user:0", "likes")])

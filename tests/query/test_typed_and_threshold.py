@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import QueryError
+from repro.query.spec import QuerySpec
 from repro.query.vkg import VirtualKnowledgeGraph
 
 
@@ -16,7 +17,8 @@ def test_typed_topk_returns_only_that_type(engine, dataset):
     graph, world = dataset
     likes = graph.relations.id_of("likes")
     user = world.members("user")[0]
-    result = engine.topk_tails(user, likes, 5, entity_type="movie")
+    spec = QuerySpec(entity=user, relation=likes, k=5, entity_type="movie")
+    result = engine.execute(spec).topk
     movies = set(world.members("movie"))
     assert len(result) == 5
     assert set(result.entities) <= movies
@@ -26,7 +28,8 @@ def test_typed_topk_is_consistent_with_filtered_exhaustive(engine, dataset):
     graph, world = dataset
     likes = graph.relations.id_of("likes")
     user = world.members("user")[1]
-    result = engine.topk_tails(user, likes, 5, entity_type="movie")
+    spec = QuerySpec(entity=user, relation=likes, k=5, entity_type="movie")
+    result = engine.execute(spec).topk
     # Filtered exhaustive ground truth.
     import numpy as np
 
@@ -42,7 +45,9 @@ def test_typed_topk_unknown_type_raises(engine, dataset):
     graph, world = dataset
     likes = graph.relations.id_of("likes")
     with pytest.raises(QueryError):
-        engine.topk_tails(world.members("user")[0], likes, 5, entity_type="robot")
+        engine.execute(
+            QuerySpec(entity=world.members("user")[0], relation=likes, k=5, entity_type="robot")
+        )
 
 
 def test_vkg_tail_type_facade(vkg):

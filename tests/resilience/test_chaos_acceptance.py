@@ -20,11 +20,7 @@ from repro.service.server import QueryService
 def _sequential_baseline(engine, workload, k):
     expected = []
     for query in workload:
-        if query.direction == "tail":
-            result = engine.topk_tails(query.entity, query.relation, k)
-        else:
-            result = engine.topk_heads(query.entity, query.relation, k)
-        expected.append(result)
+        expected.append(engine.execute(query.spec(k)).topk)
     return expected
 
 

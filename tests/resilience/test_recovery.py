@@ -15,6 +15,7 @@ import pytest
 from repro.dynamic.updater import OnlineUpdater
 from repro.errors import RecoveryError
 from repro.persistence import save_engine
+from repro.query.spec import QuerySpec
 from repro.resilience.recovery import recover_engine
 from repro.resilience.wal import WAL_FILENAME, DurableUpdater, WriteAheadLog
 
@@ -55,7 +56,8 @@ def test_recover_restores_bitidentical_state_after_crash(
     expected_matrix = np.array(engine.model.entity_vectors())
     expected_relations = np.array(engine.model.relation_vectors())
     probes = [engine.graph.entities.id_of(f"user:{i}") for i in range(6)]
-    expected_answers = [engine.topk_tails(u, likes, 5).entities for u in probes]
+    specs = [QuerySpec(entity=u, relation=likes, k=5) for u in probes]
+    expected_answers = [engine.execute(spec).topk.entities for spec in specs]
     num_entities = engine.graph.num_entities
 
     # kill -9: the live engine is gone; only the files survive.
@@ -67,8 +69,8 @@ def test_recover_restores_bitidentical_state_after_crash(
     assert recovered.graph.num_entities == num_entities
     assert np.array_equal(recovered.model.entity_vectors(), expected_matrix)
     assert np.array_equal(recovered.model.relation_vectors(), expected_relations)
-    for probe, want in zip(probes, expected_answers):
-        assert recovered.topk_tails(probe, likes, 5).entities == want
+    for spec, want in zip(specs, expected_answers):
+        assert recovered.execute(spec).topk.entities == want
 
 
 def test_recover_after_checkpoint_skips_snapshotted_records(

@@ -9,6 +9,7 @@ stale top-k is ever served afterwards.
 
 from repro.bench.workloads import make_workload
 from repro.dynamic.updater import OnlineUpdater
+from repro.query.spec import QuerySpec
 from repro.service.replay import replay
 from repro.service.server import QueryService
 
@@ -17,9 +18,13 @@ def _sequential_baseline(engine, workload, k):
     expected = []
     for query in workload:
         if query.direction == "tail":
-            result = engine.topk_tails(query.entity, query.relation, k)
+            result = engine.execute(
+                QuerySpec(entity=query.entity, relation=query.relation, k=k)
+            ).topk
         else:
-            result = engine.topk_heads(query.entity, query.relation, k)
+            result = engine.execute(
+                QuerySpec(entity=query.entity, relation=query.relation, direction="head", k=k)
+            ).topk
         expected.append(result.entities)
     return expected
 
@@ -75,8 +80,9 @@ def test_midreplay_update_evicts_affected_entries(make_engine, dataset):
         service.attach_updater(updater)
 
         replay(service, workload, k=5, threads=4)
-        service.topk(user, likes, k=5)  # warm, in case the replay missed it
-        stale = service.topk_detail(user, likes, k=5)
+        spec = QuerySpec(entity=user, relation=likes, k=5)
+        service.execute(spec)  # warm, in case the replay missed it
+        stale = service.execute(spec)
         assert stale.cached
         top_tail = stale.result.entities[0]
 
@@ -98,5 +104,5 @@ def test_midreplay_update_evicts_affected_entries(make_engine, dataset):
         # same update.
         baseline = make_engine()
         OnlineUpdater(baseline).add_edge(user, likes, top_tail)
-        expected = baseline.topk_tails(user, likes, 5)
-        assert service.topk(user, likes, k=5).entities == expected.entities
+        expected = baseline.execute(spec).topk
+        assert service.execute(spec).result.entities == expected.entities

@@ -7,7 +7,8 @@ import pytest
 
 from repro.dynamic.updater import OnlineUpdater
 from repro.errors import DeadlineExceededError, QueueFullError, VocabularyError
-from repro.service.server import QueryService
+from repro.query.spec import QuerySpec
+from repro.service.server import QueryService, _spec_of
 
 
 @pytest.fixture
@@ -21,19 +22,23 @@ def _a_user_and_relation(dataset):
     return world.members("user")[0], graph.relations.id_of("likes")
 
 
+def _top5(user, likes, **fields):
+    return QuerySpec(entity=user, relation=likes, k=5, **fields)
+
+
 def test_topk_matches_direct_engine_call(make_engine, dataset):
     user, likes = _a_user_and_relation(dataset)
-    baseline = make_engine().topk_tails(user, likes, 5)
+    baseline = make_engine().execute(_top5(user, likes)).topk
     with QueryService(make_engine(), workers=2) as service:
-        served = service.topk(user, likes, k=5)
+        served = service.execute(_top5(user, likes)).result
     assert served.entities == baseline.entities
     assert served.distances == pytest.approx(baseline.distances)
 
 
 def test_second_identical_query_is_a_cache_hit(service, dataset):
     user, likes = _a_user_and_relation(dataset)
-    first = service.topk_detail(user, likes, k=5)
-    second = service.topk_detail(user, likes, k=5)
+    first = service.execute(_top5(user, likes))
+    second = service.execute(_top5(user, likes))
     assert not first.cached
     assert second.cached
     assert second.result is first.result
@@ -46,25 +51,29 @@ def test_second_identical_query_is_a_cache_hit(service, dataset):
 def test_name_resolution_matches_ids(service, dataset):
     graph, world = dataset
     user, likes = _a_user_and_relation(dataset)
-    by_name = service.topk(graph.entities.name_of(user), "likes", k=5)
-    by_id = service.topk(user, likes, k=5)
-    assert by_name.entities == by_id.entities
+    by_name, _ = _spec_of(
+        service, {"entity": graph.entities.name_of(user), "relation": "likes", "k": 5}
+    )
+    assert by_name == _top5(user, likes)
+    by_id = service.execute(_top5(user, likes)).result
+    assert service.execute(by_name).result.entities == by_id.entities
 
 
 def test_unknown_entity_maps_to_vocabulary_error(service):
     with pytest.raises(VocabularyError):
-        service.topk("no-such-entity", "likes", k=3)
+        _spec_of(service, {"entity": "no-such-entity", "relation": "likes", "k": 3})
     assert service.metrics_snapshot()["counters"]["errors"] >= 0
 
 
 def test_aggregate_through_the_service(make_engine, dataset):
     user, likes = _a_user_and_relation(dataset)
     baseline_engine = make_engine()
-    expected = baseline_engine.aggregate_tails(
-        user, likes, "count", p_tau=0.25
+    spec = QuerySpec(
+        entity=user, relation=likes, mode="aggregate", agg="count", p_tau=0.25
     )
+    expected = baseline_engine.execute(spec).aggregate
     with QueryService(make_engine(), workers=2) as service:
-        estimate = service.aggregate(user, likes, "count", p_tau=0.25)
+        estimate = service.execute(spec).result
     assert estimate.kind == "count"
     assert estimate.value == pytest.approx(expected.value)
 
@@ -76,13 +85,13 @@ def test_edge_update_invalidates_exclusion_semantics(engine, dataset):
     with QueryService(engine, workers=1) as service:
         updater = OnlineUpdater(engine)
         service.attach_updater(updater)
-        before = service.topk(user, likes, k=5)
+        before = service.execute(_top5(user, likes)).result
         top_tail = before.entities[0]
         # Serve once more to prove it is cached.
-        assert service.topk_detail(user, likes, k=5).cached
+        assert service.execute(_top5(user, likes)).cached
         # The predicted edge becomes a known fact -> excluded from E'.
         service.pool.execute(lambda eng: updater.add_edge(user, likes, top_tail))
-        after_detail = service.topk_detail(user, likes, k=5)
+        after_detail = service.execute(_top5(user, likes))
         assert not after_detail.cached  # entry was evicted
         assert top_tail not in after_detail.result.entities
         assert service.metrics_snapshot()["counters"]["invalidations"] > 0
@@ -96,7 +105,7 @@ def test_vector_move_invalidates_geometrically(engine, dataset):
     with QueryService(engine, workers=1) as service:
         updater = OnlineUpdater(engine)
         service.attach_updater(updater)
-        before = service.topk(user, likes, k=5)
+        before = service.execute(_top5(user, likes)).result
         # Pick a movie that is not in the current answer and teleport it
         # onto the query point: it must become the new top-1.
         target = engine.model.tail_query_point(user, likes)
@@ -108,7 +117,7 @@ def test_vector_move_invalidates_geometrically(engine, dataset):
         service.pool.execute(
             lambda eng: updater.set_entity_vector(mover, target.copy())
         )
-        after = service.topk_detail(user, likes, k=5)
+        after = service.execute(_top5(user, likes))
         assert not after.cached
         assert after.result.entities[0] == mover
         assert after.result.distances[0] == pytest.approx(0.0, abs=1e-9)
@@ -121,7 +130,7 @@ def test_queue_full_and_deadline_surface_as_service_errors(engine):
         time.sleep(0.05)  # let the worker pick up the blocker
         doomed = service.pool.submit(lambda eng: None, timeout=0.01)
         with pytest.raises(QueueFullError) as excinfo:
-            service.topk(0, 0, k=3)
+            service.execute(QuerySpec(entity=0, relation=0, k=3))
         assert excinfo.value.retry_after > 0
         time.sleep(0.05)  # let the doomed request's deadline lapse
         release.set()
@@ -134,8 +143,8 @@ def test_queue_full_and_deadline_surface_as_service_errors(engine):
 
 def test_typed_queries_bypass_the_cache(service, dataset):
     user, likes = _a_user_and_relation(dataset)
-    first = service.topk_detail(user, likes, k=5, entity_type="movie")
-    second = service.topk_detail(user, likes, k=5, entity_type="movie")
+    first = service.execute(_top5(user, likes, entity_type="movie"))
+    second = service.execute(_top5(user, likes, entity_type="movie"))
     assert not first.cached and not second.cached
     for entity in first.result.entities:
         assert service.engine.graph.entity_type(entity) == "movie"

@@ -17,6 +17,7 @@ from repro.embedding.trainer import train_model
 from repro.kg.generators import amazon_like, freebase_like, movielens_like
 from repro.kg.sampling import split_triples
 from repro.query.engine import QueryEngine
+from repro.query.spec import QuerySpec
 from repro.query.vkg import VirtualKnowledgeGraph
 
 
@@ -40,8 +41,9 @@ def test_full_pipeline_with_trained_transe(movie):
     precisions = []
     for i in range(12):
         user = graph.entities.id_of(f"user:{i}")
-        truth = [e for e, _ in engine.exhaustive_topk_tails(user, likes, 5)]
-        got = engine.topk_tails(user, likes, 5).entities
+        spec = QuerySpec(entity=user, relation=likes, k=5)
+        truth = engine.exhaustive(spec).entities
+        got = engine.execute(spec).topk.entities
         precisions.append(precision_at_k(truth, got))
     assert np.mean(precisions) >= 0.9
 
@@ -88,11 +90,12 @@ def test_dynamic_updates_keep_index_consistent(movie):
     rng = np.random.default_rng(0)
     for step in range(10):
         user = graph.entities.id_of(f"user:{int(rng.integers(0, 150))}")
-        top = engine.topk_tails(user, likes, 3)
+        spec = QuerySpec(entity=user, relation=likes, k=3)
+        top = engine.execute(spec).topk
         if step % 2 == 0 and top.entities:
             updater.add_edge(user, likes, top.entities[0])
-        truth = [e for e, _ in engine.exhaustive_topk_tails(user, likes, 3)]
-        got = engine.topk_tails(user, likes, 3).entities
+        truth = engine.exhaustive(spec).entities
+        got = engine.execute(spec).topk.entities
         assert precision_at_k(truth, got) >= 2 / 3
 
 
@@ -115,9 +118,11 @@ def test_all_three_datasets_build_and_answer():
         )
         rel = graph.relations.id_of(relation)
         triple = next(t for t in graph.triples() if t.relation == rel)
-        result = engine.topk_tails(triple.head, rel, 3)
+        result = engine.execute(QuerySpec(entity=triple.head, relation=rel, k=3)).topk
         assert len(result) == 3
-        count = engine.aggregate_tails(triple.head, rel, "count", p_tau=0.3)
+        count = engine.execute(
+            QuerySpec(entity=triple.head, relation=rel, mode="aggregate", agg="count", p_tau=0.3)
+        ).aggregate
         assert count.value >= 0
 
 
@@ -131,6 +136,6 @@ def test_counters_show_index_examines_fewer_points(movie):
     fractions = []
     for i in range(10):
         user = graph.entities.id_of(f"user:{i}")
-        result = engine.topk_tails(user, likes, 5)
+        result = engine.execute(QuerySpec(entity=user, relation=likes, k=5)).topk
         fractions.append(result.points_examined / graph.num_entities)
     assert np.mean(fractions) < 0.7

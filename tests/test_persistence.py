@@ -10,6 +10,7 @@ from repro.errors import ReproError
 from repro.kg.generators import movielens_like
 from repro.persistence import load_engine, save_engine
 from repro.query.engine import EngineConfig, QueryEngine
+from repro.query.spec import QuerySpec
 
 
 @pytest.fixture(scope="module")
@@ -30,12 +31,13 @@ def test_roundtrip_preserves_answers(tmp_path, engine):
     likes = engine.graph.relations.id_of("likes")
     for i in range(5):
         user = engine.graph.entities.id_of(f"user:{i}")
-        original = engine.topk_tails(user, likes, 5)
-        loaded = restored.topk_tails(
-            restored.graph.entities.id_of(f"user:{i}"),
-            restored.graph.relations.id_of("likes"),
-            5,
-        )
+        original = engine.execute(QuerySpec(entity=user, relation=likes, k=5)).topk
+        loaded = restored.execute(
+            QuerySpec(
+                entity=restored.graph.entities.id_of(f"user:{i}"),
+                relation=restored.graph.relations.id_of("likes"), k=5,
+            )
+        ).topk
         assert original.entities == loaded.entities
         assert np.allclose(original.distances, loaded.distances)
 
@@ -85,8 +87,11 @@ def test_aggregates_survive_roundtrip(tmp_path, engine):
     restored = load_engine(tmp_path / "artifact")
     likes = engine.graph.relations.id_of("likes")
     user = engine.graph.entities.id_of("user:1")
-    a = engine.aggregate_tails(user, likes, "avg", "year", p_tau=0.2)
-    b = restored.aggregate_tails(user, likes, "avg", "year", p_tau=0.2)
+    spec = QuerySpec(
+        entity=user, relation=likes, mode="aggregate", agg="avg", attribute="year", p_tau=0.2
+    )
+    a = engine.execute(spec).aggregate
+    b = restored.execute(spec).aggregate
     assert a.value == pytest.approx(b.value)
 
 
