@@ -2,7 +2,9 @@
 
 Unlike the figure benches (which run a whole experiment once), these use
 pytest-benchmark's statistics over many rounds of a single warm query,
-giving stable per-operation numbers for regression tracking.
+giving stable per-operation numbers for regression tracking. Two exact
+baselines run next to the index: the paper's per-entity loop (no index)
+and the vectorised numpy scan, the one an index has to beat in practice.
 """
 
 import itertools
@@ -12,6 +14,7 @@ import pytest
 from repro.bench.datasets import movie_dataset
 from repro.bench.methods import NoIndexMethod, RTreeMethod
 from repro.bench.workloads import make_workload
+from repro.index.linear import ExhaustiveScan
 from repro.query.spec import QuerySpec
 
 
@@ -36,6 +39,22 @@ def test_query_no_index(benchmark, dataset, workload):
     method = NoIndexMethod(dataset)
     cycle = itertools.cycle(workload)
     benchmark(lambda: method.query(next(cycle), 5))
+
+
+def test_query_exact_scan_vectorized(benchmark, dataset, workload):
+    scan = ExhaustiveScan(dataset.model.entity_vectors(), vectorized=True)
+    resolver = NoIndexMethod(dataset)
+    queries = [
+        (resolver._query_point(dataset, query), resolver._exclusion(dataset, query))
+        for query in workload
+    ]
+    cycle = itertools.cycle(queries)
+
+    def run():
+        point, exclude = next(cycle)
+        return scan.topk(point, 5, exclude)
+
+    benchmark(run)
 
 
 def test_query_cracking_warm(benchmark, dataset, workload):

@@ -134,3 +134,27 @@ class Rect:
 
     def __repr__(self) -> str:
         return f"Rect(lower={self.lower.tolist()}, upper={self.upper.tolist()})"
+
+
+def row_distances(
+    matrix: np.ndarray, point: np.ndarray, ids: np.ndarray | None = None
+) -> np.ndarray:
+    """Euclidean distances from ``point`` to the rows of ``matrix``, or
+    to the rows ``ids`` (in that order) when given.
+
+    Bit for bit ``np.linalg.norm(matrix[ids] - point, axis=1)``: the same
+    ``sqrt(add.reduce(x * x, axis=1))`` over the same row layout, but the
+    rows are gathered once and the rest runs in place, where ``norm``
+    allocates four temporaries.
+    """
+    if ids is None:
+        diff = np.subtract(matrix, point)
+    else:
+        diff = np.take(matrix, ids, axis=0)
+        if np.result_type(diff, point) == diff.dtype:
+            diff -= point
+        else:  # e.g. float32 rows: subtract in the wider type, as norm does
+            diff = np.subtract(diff, point)
+    diff *= diff
+    out = np.add.reduce(diff, axis=1)
+    return np.sqrt(out, out=out)

@@ -27,6 +27,7 @@ import itertools
 import numpy as np
 
 from repro.errors import IndexError_
+from repro.index.geometry import row_distances
 from repro.index.node import InternalNode, LeafNode
 from repro.index.rtree_base import RTreeBase
 
@@ -80,7 +81,7 @@ def knn_search(
             else:
                 tree.counters.partition_accesses += 1
             tree.counters.points_examined += len(ids)
-            dists = np.linalg.norm(tree.store.points_of(ids) - point, axis=1)
+            dists = row_distances(tree.store.coords, point, ids)
             for ident, d in zip(ids, dists):
                 if d <= kth():
                     heapq.heappush(heap, (float(d), next(counter), "point", int(ident)))
@@ -113,6 +114,6 @@ def knn_topk_s1(
     if not candidates:
         return []
     ids = np.array([ident for ident, _ in candidates])
-    s1_dists = np.linalg.norm(s1_vectors[ids] - query_point_s1, axis=1)
+    s1_dists = row_distances(s1_vectors, query_point_s1, ids)
     order = np.argsort(s1_dists)[:k]
     return [(int(ids[i]), float(s1_dists[i])) for i in order]

@@ -22,6 +22,7 @@ import heapq
 import numpy as np
 
 from repro.errors import IndexError_
+from repro.index.geometry import row_distances
 from repro.index.stats import AccessCounters
 
 
@@ -38,7 +39,7 @@ def exact_topk(
     the ids in ``exclude`` and, when ``allowed`` is given, every id not
     in it. Fewer than ``k`` ids come back when fewer remain.
     """
-    dists = np.linalg.norm(vectors - np.asarray(query_point, dtype=np.float64), axis=1)
+    dists = row_distances(vectors, np.asarray(query_point, dtype=np.float64))
     if exclude:
         dists[np.fromiter(exclude, dtype=np.int64, count=len(exclude))] = np.inf
     if allowed is not None:

@@ -4,7 +4,9 @@ Three kinds of tree entries exist during the index's lifetime:
 
 - :class:`LeafNode` — a terminal page of at most ``N`` point ids;
 - :class:`InternalNode` — an expanded node with up to ``M`` child
-  entries and the chunk ``part_size`` its children were carved with;
+  entries, the chunk ``part_size`` its children were carved with, a
+  bound on the frontier partitions beneath it, and a cache of the ids
+  beneath it;
 - :class:`FrontierEntry` — an *unexpanded* partition, i.e. an element of
   the contour (Definition 2). ``chunk_root=True`` marks a partition that
   will become a whole child subtree of height ``height`` when expanded;
@@ -15,6 +17,7 @@ Three kinds of tree entries exist during the index's lifetime:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,16 +59,27 @@ class FrontierEntry:
 class InternalNode:
     """An expanded R-tree node with mixed child entries.
 
-    ``complete`` memoises "this subtree contains no frontier entries":
-    once true it can never become false (expansion is monotone), letting
-    refinement skip fully-expanded regions entirely.
+    ``largest_frontier`` bounds the size of every frontier partition in
+    this subtree; it starts at "unknown" (``sys.maxsize``) and each
+    refinement of the node recomputes it exactly. Refinement skips the
+    subtree when nothing beneath can crack: at ``0`` (no frontier left,
+    so even the offline ``refine(None)`` has nothing to expand) or, for
+    a query refinement, at most ``leaf_capacity`` (the stopping
+    condition holds for every frontier beneath, whatever the query).
+    Inserts raise the bound along their path; deletes only shrink
+    partitions, so the bound stays valid.
+
+    ``ids_cache`` holds ``(version, ids)``: the concatenated ids beneath
+    the node in traversal order, valid while the tree's id version is
+    still ``version``. It is left out of comparison and ``repr``.
     """
 
     height: int
     part_size: int
     mbr: Rect
     entries: list = field(default_factory=list)
-    complete: bool = False
+    largest_frontier: int = sys.maxsize
+    ids_cache: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def size(self) -> int:

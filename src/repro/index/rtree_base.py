@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from repro.errors import IndexError_
-from repro.index.geometry import Rect
+from repro.index.geometry import Rect, row_distances
 from repro.index.node import FrontierEntry, InternalNode, LeafNode, TreeEntry
 from repro.index.partition import Partition
 from repro.index.stats import AccessCounters, IndexStats, StatsAccumulator
@@ -92,6 +92,9 @@ class RTreeBase:
         self.counters = AccessCounters()
         self._splits_performed = 0
         self._overlap_cost_total = 0.0
+        # Bumped by every split, insert and delete (the only operations
+        # that reorder the ids beneath a node); keys InternalNode.ids_cache.
+        self._ids_version = 0
         if ids is None:
             all_ids = np.arange(store.size)
         else:
@@ -132,6 +135,8 @@ class RTreeBase:
         """Incrementally expand the tree where ``query`` needs it.
 
         ``query=None`` expands everything (offline full bulk load).
+        Subtrees that cannot crack are skipped without a walk (see
+        :attr:`~repro.index.node.InternalNode.largest_frontier`).
 
         With tracing enabled the expansion is wrapped in an
         ``index.refine`` span recording the splits performed for this
@@ -299,6 +304,7 @@ class RTreeBase:
         the natural update policy for a cracking index.
         """
         point = self.store.points_of(np.array([ident]))[0]
+        self._ids_version += 1
         self.root = self._insert_into(self.root, ident, point)
 
     def _insert_into(self, entry: TreeEntry, ident: int, point: np.ndarray) -> TreeEntry:
@@ -330,21 +336,21 @@ class RTreeBase:
         replacement = self._insert_into(child, ident, point)
         entry.entries[best_index] = replacement
         entry.mbr = entry.mbr.union(Rect(point, point))
-        # A leaf overflow anywhere below uncracks into a frontier; the
-        # "no frontier beneath" memo must be invalidated all the way up,
-        # not just on the overflowing leaf's direct parent.
-        if isinstance(replacement, FrontierEntry) or (
-            isinstance(replacement, InternalNode) and not replacement.complete
-        ):
-            entry.complete = False
+        # A grown frontier (or a leaf overflow uncracked into one) raises
+        # the frontier bound all the way up, not just on its parent.
+        entry.largest_frontier = max(
+            entry.largest_frontier, _frontier_bound(replacement)
+        )
         return entry
 
     def delete(self, ident: int) -> bool:
         """Remove a point id from the tree; returns False if absent."""
         point = self.store.points_of(np.array([ident]))[0]
         removed, replacement = self._delete_from(self.root, ident, point)
-        if removed and replacement is not None:
-            self.root = replacement
+        if removed:
+            self._ids_version += 1
+            if replacement is not None:
+                self.root = replacement
         return removed
 
     def _delete_from(
@@ -387,7 +393,9 @@ class RTreeBase:
         if isinstance(entry, LeafNode):
             return entry
         if isinstance(entry, InternalNode):
-            if entry.complete:
+            # Nothing below can crack: a query refine stops at every
+            # frontier of at most one page, the offline one at none.
+            if entry.largest_frontier <= (0 if query is None else self.leaf_capacity):
                 return entry
             new_entries: list[TreeEntry] = []
             for child in entry.entries:
@@ -403,11 +411,7 @@ class RTreeBase:
                 else:
                     new_entries.append(self._refine_entry(child, query))
             entry.entries = new_entries
-            entry.complete = all(
-                isinstance(c, LeafNode)
-                or (isinstance(c, InternalNode) and c.complete)
-                for c in new_entries
-            )
+            entry.largest_frontier = _largest_frontier(new_entries)
             return entry
         # FrontierEntry at a chunk-root position.
         partition = entry.partition
@@ -431,11 +435,7 @@ class RTreeBase:
             entries=[],
         )
         self._partition_into(node, partition, query, node.entries)
-        node.complete = all(
-            isinstance(c, LeafNode)
-            or (isinstance(c, InternalNode) and c.complete)
-            for c in node.entries
-        )
+        node.largest_frontier = _largest_frontier(node.entries)
         return node
 
     def _partition_into(
@@ -482,6 +482,7 @@ class RTreeBase:
         return choices[0]
 
     def _record_split(self, overlap_cost: float) -> None:
+        self._ids_version += 1
         self._splits_performed += 1
         self._overlap_cost_total += overlap_cost
         self.counters.splits += 1
@@ -508,12 +509,19 @@ class RTreeBase:
     # -- probe helpers ----------------------------------------------------
 
     def _ids_under(self, entry: TreeEntry) -> np.ndarray:
+        """The ids beneath ``entry`` in traversal order (read-only)."""
         if isinstance(entry, LeafNode):
             return entry.ids
         if isinstance(entry, FrontierEntry):
             return entry.partition.ids
+        cached = entry.ids_cache
+        if cached is not None and cached[0] == self._ids_version:
+            return cached[1]
         parts = [self._ids_under(child) for child in entry.entries]
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        ids = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        ids.flags.writeable = False
+        entry.ids_cache = (self._ids_version, ids)
+        return ids
 
     def _nearest_by_sort_order(
         self, ids: np.ndarray, point: np.ndarray, k: int
@@ -524,8 +532,22 @@ class RTreeBase:
         radius and with it the examined region)."""
         if len(ids) == 0:
             return ids
-        offsets = np.linalg.norm(self.store.points_of(ids) - point, axis=1)
+        offsets = row_distances(self.store.coords, point, ids)
         take = min(k, len(ids))
         nearest = np.argpartition(offsets, take - 1)[:take]
         self.counters.points_examined += take
         return ids[nearest]
+
+
+def _frontier_bound(entry: TreeEntry) -> int:
+    """Largest frontier partition at or beneath ``entry`` (an upper
+    bound for an internal node)."""
+    if isinstance(entry, InternalNode):
+        return entry.largest_frontier
+    if isinstance(entry, FrontierEntry):
+        return entry.size
+    return 0
+
+
+def _largest_frontier(entries: list[TreeEntry]) -> int:
+    return max((_frontier_bound(e) for e in entries), default=0)

@@ -8,8 +8,12 @@ rely on:
 3. leaf sizes respect the leaf capacity, internal fanouts respect M;
 4. frontier entries carry consistent sort orders (each order is a
    permutation of the element's ids, sorted by its coordinate);
-5. ``complete`` flags are never wrong (a node marked complete has no
-   frontier entry beneath it).
+5. refinement memos are never wrong: no frontier partition beneath a
+   node is larger than its ``largest_frontier`` bound (so a node at 0
+   has no frontier beneath it, and a settled node, at most
+   ``leaf_capacity``, none larger than a page);
+6. a node's id cache, when current, equals the ids beneath it in
+   traversal order.
 
 Used by tests and available to users as a debugging aid after heavy
 dynamic-update workloads.
@@ -50,16 +54,17 @@ def check_invariants(tree: RTreeBase, expected_ids=None) -> None:
         )
 
 
-def _check_entry(tree: RTreeBase, entry, seen: list[int], parent_mbr=None) -> bool:
-    """Returns True when the subtree contains no frontier entry."""
+def _check_entry(tree: RTreeBase, entry, seen: list[int], parent_mbr=None) -> int:
+    """Returns the size of the largest frontier partition in the subtree
+    (0 when it has none)."""
     if parent_mbr is not None and not parent_mbr.contains_rect(entry.mbr):
         raise IndexError_("child MBR escapes its parent's MBR")
     if isinstance(entry, LeafNode):
         _check_leaf(tree, entry, seen)
-        return True
+        return 0
     if isinstance(entry, FrontierEntry):
         _check_frontier(tree, entry, seen)
-        return False
+        return entry.size
     if not isinstance(entry, InternalNode):
         raise IndexError_(f"unknown entry type {type(entry)!r}")
     if len(entry.entries) == 0:
@@ -68,12 +73,18 @@ def _check_entry(tree: RTreeBase, entry, seen: list[int], parent_mbr=None) -> bo
         raise IndexError_(
             f"fanout violated: {len(entry.entries)} > {tree.fanout}"
         )
-    frontier_free = True
-    for child in entry.entries:
-        frontier_free &= _check_entry(tree, child, seen, entry.mbr)
-    if entry.complete and not frontier_free:
-        raise IndexError_("node marked complete but has a frontier below it")
-    return frontier_free
+    start = len(seen)
+    largest = max(_check_entry(tree, child, seen, entry.mbr) for child in entry.entries)
+    if largest > entry.largest_frontier:
+        raise IndexError_(
+            f"a frontier of {largest} points lies below a node whose "
+            f"frontier bound is {entry.largest_frontier}"
+        )
+    cached = entry.ids_cache
+    if cached is not None and cached[0] == tree._ids_version:
+        if cached[1].tolist() != seen[start:]:
+            raise IndexError_("a current id cache differs from the ids below its node")
+    return largest
 
 
 def _check_leaf(tree: RTreeBase, leaf: LeafNode, seen: list[int]) -> None:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import QueryError
-from repro.index.geometry import Rect
+from repro.index.geometry import Rect, row_distances
 from repro.obs import trace
 from repro.query.probability import InverseDistanceProbability
 from repro.transform.bounds import aggregate_sum_tail_bound
@@ -191,26 +191,21 @@ class AggregateProcessor:
         distances, plus the S2 search region used."""
         q2 = self.transform(query_point_s1)
         # Anchor d_min with a small probe.
-        seeds = [int(e) for e in self.index.probe(q2, 4) if int(e) not in exclude]
-        if not seeds:
-            seeds = [int(e) for e in self.index.probe(q2, 64) if int(e) not in exclude]
-        if not seeds:
+        seeds = without(self.index.probe(q2, 4), exclude)
+        if len(seeds) == 0:
+            seeds = without(self.index.probe(q2, 64), exclude)
+        if len(seeds) == 0:
             raise QueryError("no candidate entities found near the query point")
-        seed_dists = np.linalg.norm(
-            self.s1_vectors[seeds] - query_point_s1, axis=1
-        )
+        seed_dists = row_distances(self.s1_vectors, query_point_s1, seeds)
         model = InverseDistanceProbability(float(seed_dists.min()))
         radius = model.ball_radius(p_tau) * (1.0 + self.epsilon)
         region = Rect.ball_box(q2, radius)
         if refine_index:
             self.index.refine(region)
-        ids = np.array(
-            [int(e) for e in self.index.search(region) if int(e) not in exclude],
-            dtype=np.int64,
-        )
+        ids = without(self.index.search(region), exclude)
         if len(ids) == 0:
             return ids, np.empty(0), region
-        dists = np.linalg.norm(self.s1_vectors[ids] - query_point_s1, axis=1)
+        dists = row_distances(self.s1_vectors, query_point_s1, ids)
         # Re-anchor on the true closest entity and cut at p_tau exactly.
         model = InverseDistanceProbability(float(dists.min()))
         in_ball = model.probabilities(dists) >= p_tau
@@ -274,6 +269,14 @@ class AggregateProcessor:
         if kind == "max":
             return _expected_max(values, accessed_probs)
         return -_expected_max(-values, accessed_probs)  # min
+
+
+def without(ids: np.ndarray, exclude) -> np.ndarray:
+    """``ids`` (as int64, in their order) minus the ids in ``exclude``."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if exclude and len(ids):
+        ids = ids[~np.isin(ids, np.fromiter(exclude, dtype=np.int64, count=len(exclude)))]
+    return ids
 
 
 def _expected_max(values: np.ndarray, probs: np.ndarray) -> float:

@@ -23,13 +23,13 @@ from repro.embedding.trainer import TrainConfig, train_model
 from repro.errors import QueryError
 from repro.index.bulkload import BulkLoadedRTree
 from repro.index.cracking import CrackingRTree
-from repro.index.geometry import Rect
+from repro.index.geometry import Rect, row_distances
 from repro.index.linear import exact_topk
 from repro.index.store import PointStore
 from repro.index.topk_splits import TopKSplitsRTree
 from repro.kg.graph import KnowledgeGraph
 from repro.obs import trace
-from repro.query.aggregates import AggregateEstimate, AggregateProcessor
+from repro.query.aggregates import AggregateEstimate, AggregateProcessor, without
 from repro.query.probability import InverseDistanceProbability
 from repro.query.spec import QueryResult, QuerySpec
 from repro.query.topk import TopKResult, find_topk
@@ -265,13 +265,10 @@ class QueryEngine:
         radius = prob_model.ball_radius(p_tau) * (1.0 + self.epsilon)
         region = Rect.ball_box(self.transform(q1), radius)
         self.index.refine(region)
-        ids = np.array(
-            [int(e) for e in self.index.search(region) if int(e) not in exclude],
-            dtype=np.int64,
-        )
+        ids = without(self.index.search(region), exclude)
         if len(ids) == 0:
             return []
-        dists = np.linalg.norm(self.s1_vectors[ids] - q1, axis=1)
+        dists = row_distances(self.s1_vectors, q1, ids)
         prob_model = InverseDistanceProbability(float(dists.min()))
         probs = prob_model.probabilities(dists)
         keep = probs >= p_tau

@@ -11,8 +11,9 @@ Given a query point in the embedding space S1 (``h + r`` for tails,
 3. examines the data points inside the box of ``B(q, r_q)`` in
    increasing S2 distance, re-ranking each by its true S1 distance and
    shrinking ``r_q`` (hence the region) as better candidates appear —
-   processed in vectorised chunks so the examination cost is a few
-   numpy operations per chunk rather than per point;
+   processed in vectorised chunks, evaluated in runs of 1, 2, 4, ...
+   chunks until one improves the top-k, so the examination cost is a
+   few numpy operations per run rather than per point;
 4. cracks the index for the final region (the greedy incremental build
    or Algorithm 2's A* search, depending on the index variant).
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import QueryError
-from repro.index.geometry import Rect
+from repro.index.geometry import Rect, row_distances
 from repro.obs import trace
 
 #: Candidates examined per vectorised batch in the refinement loop.
@@ -126,7 +127,7 @@ def _find_topk(
     sp,
 ) -> TopKResult:
     query_point_s1 = np.asarray(query_point_s1, dtype=np.float64)
-    q2 = transform(query_point_s1)
+    q2 = np.asarray(transform(query_point_s1), dtype=np.float64)
 
     best_ids = np.empty(0, dtype=np.int64)
     best_dists = np.empty(0, dtype=np.float64)
@@ -138,13 +139,11 @@ def _find_topk(
         else np.fromiter(allowed, dtype=np.int64, count=len(allowed))
     )
 
-    def merge(ids: np.ndarray) -> None:
-        """Examine ``ids`` by exact S1 distance into the top-k."""
-        nonlocal best_ids, best_dists, points_examined
+    def merge(ids: np.ndarray, dists: np.ndarray) -> None:
+        """Fold ``ids`` at S1 distances ``dists`` into the top-k."""
+        nonlocal best_ids, best_dists
         if len(ids) == 0:
             return
-        points_examined += len(ids)
-        dists = np.linalg.norm(s1_vectors[ids] - query_point_s1, axis=1)
         if len(best_dists) == k and not (dists < best_dists[-1]).any():
             return  # the stable sort below would keep the current top-k
         all_ids = np.concatenate([best_ids, ids])
@@ -173,7 +172,9 @@ def _find_topk(
         seeds = unseen(index.probe(q2, probe_size))
         seen = np.concatenate([seen, seeds])
         probe_rounds += 1
-        merge(permitted(seeds))
+        seeds = permitted(seeds)
+        points_examined += len(seeds)
+        merge(seeds, row_distances(s1_vectors, query_point_s1, seeds))
         if len(best_ids) >= k or probe_size >= len(s1_vectors):
             break
         probe_size = min(probe_size * 4, len(s1_vectors))
@@ -188,24 +189,48 @@ def _find_topk(
         return float(best_dists[min(k, len(best_dists)) - 1]) * (1.0 + epsilon)
 
     # Lines 3-8: one index search of the initial (largest) region, then
-    # iterative radius refinement over its candidates in S2 order, in
-    # chunks tested against the current region's box.
+    # iterative radius refinement over its candidates in S2 order, chunk
+    # by chunk, each chunk's points tested against the current region's
+    # box and the in-region ones merged by S1 distance. A chunk that
+    # cannot improve the top-k leaves the region as it was, so a run of
+    # 1, 2, 4, ... chunks is tested against the region in one pass; only
+    # the first chunk holding an improving point is merged (merging
+    # more would change the tie order of the stable sort), and the next
+    # run of 1 starts after it. The loop tracks the box as its corners;
+    # the final region is built once, after it.
     radius = current_radius()
     region = Rect.ball_box(q2, radius)
     candidates = permitted(unseen(index.search(region)))
     if len(candidates) > 0:
+        searched_radius = radius
+        lower, upper = region.lower, region.upper
         points = index.store.points_of(candidates)
-        order = np.argsort(np.linalg.norm(points - q2, axis=1))
+        order = np.argsort(row_distances(points, q2))
         candidates = candidates[order]
         points = points[order]
-        for start in range(0, len(candidates), _CHUNK):
-            chunk = points[start : start + _CHUNK]
-            in_region = ((chunk >= region.lower) & (chunk <= region.upper)).all(axis=1)
-            merge(candidates[start : start + _CHUNK][in_region])
+        start, run = 0, 1
+        while start < len(candidates):
+            stop = start + run * _CHUNK
+            block = points[start:stop]
+            inside = np.flatnonzero(((block >= lower) & (block <= upper)).all(axis=1))
+            ids = candidates[start:stop][inside]
+            dists = row_distances(s1_vectors, query_point_s1, ids)
+            hits = inside if len(best_dists) < k else inside[dists < best_dists[-1]]
+            if len(hits) == 0:
+                points_examined += len(inside)
+                start, run = stop, run * 2
+                continue
+            chunk_start = int(hits[0]) // _CHUNK * _CHUNK
+            lo, hi = np.searchsorted(inside, [chunk_start, chunk_start + _CHUNK]).tolist()
+            points_examined += hi
+            merge(ids[lo:hi], dists[lo:hi])
             new_radius = current_radius()
             if new_radius < radius:
                 radius = new_radius
-                region = Rect.ball_box(q2, radius)
+                lower, upper = q2 - radius, q2 + radius
+            start, run = start + chunk_start + _CHUNK, 1
+        if radius < searched_radius:
+            region = Rect.ball_box(q2, radius)
     sp.set_attribute("candidates", len(candidates))
     # Every candidate outside the region when its chunk came up.
     sp.set_attribute("pruned", len(candidates) - (points_examined - seeded))
